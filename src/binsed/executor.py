@@ -10,16 +10,9 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # parallelism still correct, just potentially oversubscribed
-    def threadpool_limits(*_args, **_kwargs):
-        return nullcontext()
 
 from . import oracle
 from .errors import ShapeMismatchError
@@ -273,17 +266,16 @@ def run_layers(x: FixedTensor, net: NetworkSpec, threads: int = 1,
     workers = min(max(1, threads), os.cpu_count() or 1)
     outs = []
     cur = x
-    with threadpool_limits(limits=1, user_api="blas"):
-        for i, layer in enumerate(net.layers):
-            if cur.channels != layer.in_channels:
-                raise ShapeMismatchError(
-                    f"layer {i} ({layer.name}) expects {layer.in_channels} channels, "
-                    f"got {cur.channels}")
-            if workers == 1:
-                cur = _run_layer(layer, cur, None, 1, popcount)
-            else:
-                cur = _run_layer_parallel(layer, cur, cur.width, workers, popcount)
-            outs.append(cur)
+    for i, layer in enumerate(net.layers):
+        if cur.channels != layer.in_channels:
+            raise ShapeMismatchError(
+                f"layer {i} ({layer.name}) expects {layer.in_channels} channels, "
+                f"got {cur.channels}")
+        if workers == 1:
+            cur = _run_layer(layer, cur, None, 1, popcount)
+        else:
+            cur = _run_layer_parallel(layer, cur, cur.width, workers, popcount)
+        outs.append(cur)
     return outs
 
 
@@ -421,14 +413,13 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
         tile_intervals.append(intervals)
 
     workers = min(max(1, threads), os.cpu_count() or 1, plan.tile_count)
-    with threadpool_limits(limits=1, user_api="blas"):
-        if workers == 1:
-            pieces = [_run_tile(x, net, widths, iv, popcount) for iv in tile_intervals]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                futures = [pool_exec.submit(_run_tile, x, net, widths, iv, popcount)
-                           for iv in tile_intervals]
-                pieces = [f.result() for f in futures]
+    if workers == 1:
+        pieces = [_run_tile(x, net, widths, iv, popcount) for iv in tile_intervals]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
+            futures = [pool_exec.submit(_run_tile, x, net, widths, iv, popcount)
+                       for iv in tile_intervals]
+            pieces = [f.result() for f in futures]
 
     final = np.concatenate(pieces, axis=1)
     pool = global_avg_pool(final)
@@ -683,18 +674,17 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
     rows = [{"row": "Mel bins", "group": "Mel bins", "macs": None,
              "time_s": mel_time, "mac_per_s": None}]
     layer_times = []
-    with threadpool_limits(limits=1, user_api="blas"):
-        for i, layer in enumerate(net.layers):
-            t = _median_time(
-                lambda layer=layer, xin=inputs[i]: _run_layer(layer, xin, None, threads, popcount),
-                repetitions)
-            layer_times.append(t)
-            m = macs["layers"][i]["macs_same_pad"]
-            group = names[i]
-            if is_reference_topology(net) and i >= len(net.layers) - 2:
-                group = "5./6. Layer"  # last two layers are merged in firmware reports
-            rows.append({"row": names[i], "group": group, "macs": m,
-                         "time_s": t, "mac_per_s": m / t if t > 0 else None})
+    for i, layer in enumerate(net.layers):
+        t = _median_time(
+            lambda layer=layer, xin=inputs[i]: _run_layer(layer, xin, None, threads, popcount),
+            repetitions)
+        layer_times.append(t)
+        m = macs["layers"][i]["macs_same_pad"]
+        group = names[i]
+        if is_reference_topology(net) and i >= len(net.layers) - 2:
+            group = "5./6. Layer"  # last two layers are merged in firmware reports
+        rows.append({"row": names[i], "group": group, "macs": m,
+                     "time_s": t, "mac_per_s": m / t if t > 0 else None})
 
     total_macs = macs["total_same_pad"]
     total_time = mel_time + sum(layer_times)
@@ -703,47 +693,46 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
                  "mac_per_s": total_macs / total_time if total_time > 0 else None})
 
     comparisons = {}
-    with threadpool_limits(limits=1, user_api="blas"):
-        if include_naive:
-            for i, layer in enumerate(net.layers):
-                if layer.kind != BINARY_CONV:
-                    continue
-                xin = inputs[i]
-                packed_t = _median_time(
-                    lambda xin=xin, layer=layer: conv2d_binary(
-                        xin, layer.weights, layer.stride, popcount=popcount, threads=1),
-                    repetitions)
-                dense_in = unpack(xin)
-                dense_w = unpack_weights(layer.weights)
-                t0 = time.perf_counter()
-                oracle.naive_binary_conv(dense_in, dense_w, layer.stride)
-                naive_t = time.perf_counter() - t0
-                comparisons[f"packed_vs_naive/{names[i]}"] = {
-                    "packed_s": packed_t, "naive_s": naive_t,
-                    "speedup": naive_t / packed_t if packed_t > 0 else float("inf"),
-                }
-        if include_popcount_compare:
-            biggest = max(
-                (i for i, l in enumerate(net.layers) if l.kind == BINARY_CONV),
-                key=lambda i: macs["layers"][i]["macs_same_pad"],
-                default=None)
-            if biggest is not None:
-                layer = net.layers[biggest]
-                xin = inputs[biggest]
-                times = {}
-                for backend in ("native", "portable"):
-                    try:
-                        times[backend] = _median_time(
-                            lambda b=backend, xin=xin, layer=layer: conv2d_binary(
-                                xin, layer.weights, layer.stride, popcount=b, threads=1),
-                            repetitions)
-                    except ValueError:
-                        times[backend] = None
-                comparisons["popcount_native_vs_portable"] = {
-                    "layer": names[biggest],
-                    "native_s": times["native"],
-                    "portable_s": times["portable"],
-                }
+    if include_naive:
+        for i, layer in enumerate(net.layers):
+            if layer.kind != BINARY_CONV:
+                continue
+            xin = inputs[i]
+            packed_t = _median_time(
+                lambda xin=xin, layer=layer: conv2d_binary(
+                    xin, layer.weights, layer.stride, popcount=popcount, threads=1),
+                repetitions)
+            dense_in = unpack(xin)
+            dense_w = unpack_weights(layer.weights)
+            t0 = time.perf_counter()
+            oracle.naive_binary_conv(dense_in, dense_w, layer.stride)
+            naive_t = time.perf_counter() - t0
+            comparisons[f"packed_vs_naive/{names[i]}"] = {
+                "packed_s": packed_t, "naive_s": naive_t,
+                "speedup": naive_t / packed_t if packed_t > 0 else float("inf"),
+            }
+    if include_popcount_compare:
+        biggest = max(
+            (i for i, l in enumerate(net.layers) if l.kind == BINARY_CONV),
+            key=lambda i: macs["layers"][i]["macs_same_pad"],
+            default=None)
+        if biggest is not None:
+            layer = net.layers[biggest]
+            xin = inputs[biggest]
+            times = {}
+            for backend in ("native", "portable"):
+                try:
+                    times[backend] = _median_time(
+                        lambda b=backend, xin=xin, layer=layer: conv2d_binary(
+                            xin, layer.weights, layer.stride, popcount=b, threads=1),
+                        repetitions)
+                except ValueError:
+                    times[backend] = None
+            comparisons["popcount_native_vs_portable"] = {
+                "layer": names[biggest],
+                "native_s": times["native"],
+                "portable_s": times["portable"],
+            }
 
     meta = {"threads": threads, "repetitions": repetitions,
             "popcount": resolve_popcount_name(popcount), "rows": len(rows)}

@@ -13,6 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .blas import single_thread
+from .errors import InputFormatError
 from .tensors import FixedTensor, quantize_real
 
 PATCH_SECONDS = 3.2
@@ -100,7 +102,12 @@ def _as_float_audio(audio) -> np.ndarray:
         raise ValueError(f"expected mono audio, got ndim={a.ndim}")
     if a.dtype == np.int16:
         return a.astype(np.float64) / 32768.0
-    return a.astype(np.float64)
+    a = a.astype(np.float64)
+    finite = np.isfinite(a)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InputFormatError(f"audio sample {i} is {a[i]}, not a finite number")
+    return a
 
 
 def stft_power(audio, cfg: FrontendConfig) -> np.ndarray:
@@ -130,7 +137,8 @@ def mel_spectrogram(audio, cfg: FrontendConfig | None = None) -> FixedTensor:
     """Full frontend: audio -> quantized [mel_bins][frames][1] FixedTensor."""
     cfg = cfg or FrontendConfig()
     power = stft_power(audio, cfg)
-    mel = mel_filterbank(cfg) @ power
+    with single_thread():
+        mel = mel_filterbank(cfg) @ power
     if cfg.log_compress:
         mel = np.log(np.maximum(mel, cfg.log_floor))
     return quantize_real(mel[:, :, None], cfg.output_qformat, bitwidth=16)

@@ -15,12 +15,15 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
+import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_thread
 from .tensors import (
     BinaryTensor,
     FixedTensor,
@@ -28,6 +31,8 @@ from .tensors import (
     _pack_bits,
     signed_range,
 )
+
+log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # popcount backends
@@ -84,10 +89,19 @@ def get_popcount(kind: str | None = None):
     if kind == "native":
         if not _HAS_NATIVE:
             raise ValueError("native popcount not available in this numpy")
-        return popcount_native
-    if kind == "portable":
-        return popcount_portable
-    raise ValueError(f"unknown popcount backend {kind!r}")
+        fn = popcount_native
+    elif kind == "portable":
+        fn = popcount_portable
+    else:
+        raise ValueError(f"unknown popcount backend {kind!r}")
+    _log_backend(kind)
+    return fn
+
+
+@functools.cache
+def _log_backend(kind: str) -> None:
+    # cached so each backend is logged once per process, not once per layer
+    log.debug("popcount backend: %s", kind)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +260,14 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
     slab = _column_slab(x.values, full_w, col_offset, need_lo, need_hi, (pt, pb))
 
     ow = out_hi - out_lo
-    # Every partial sum is an exact integer well below 2**53 (the 32-bit
-    # accumulator contract guarantees it), so one float64 matmul over im2col
-    # patches is bit-exact and grabs BLAS instead of numpy's slow integer dot;
-    # truncation back to int64 recovers the exact integer accumulator.
+    # Every partial sum is an exact integer below 2**52 (checked here), so one
+    # float64 matmul over im2col patches is bit-exact and uses BLAS instead of
+    # numpy's slow integer dot.  Adding bias and the rounding half, scaling by
+    # 2**-shift and flooring then equals the integer rounding shift exactly:
+    # the sum stays below 2**53 and a power-of-two scale is exact.
+    shift = p.output_shift
+    if not 0 <= shift <= 52:
+        raise ValueError(f"output shift {shift} outside [0, 52]")
     max_in = int(np.abs(slab).max(initial=0))
     bound = p.accumulator_bound(max_in)
     if bound >= 1 << 52:
@@ -259,18 +277,21 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
     wins = wins[:(out_h - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
     patches = wins.transpose(0, 1, 3, 4, 2).reshape(out_h * ow, ky * kx * p.in_channels)
     w_f = p.weights.reshape(p.out_channels, -1).astype(np.float64)
-    acc = (patches @ w_f.T).astype(np.int64)
-    acc += p.bias.astype(np.int64)
+    with single_thread():
+        out = patches @ w_f.T
+    out += p.bias.astype(np.float64) + (1 << shift >> 1)
+    if shift:
+        out *= 2.0 ** -shift
+        np.floor(out, out=out)
 
-    out = rounding_shift(acc, p.output_shift)
     lo, hi = signed_range(p.output_bitwidth)
-    if rounding_shift(np.int64(bound), p.output_shift) > hi:
+    if rounding_shift(np.int64(bound), shift) > hi:
         # conservative bound failed; judge the actual values
         if out.size and (out.min() < lo or out.max() > hi):
             raise ValueError(f"conv output exceeds {p.output_bitwidth}-bit range; "
                              "model output_shift is inconsistent")
     out = out.astype(np.int32).reshape(out_h, ow, p.out_channels)
-    out_q = x.qformat + p.weights_qformat - p.output_shift
+    out_q = x.qformat + p.weights_qformat - shift
     return FixedTensor(out_h, ow, p.out_channels, out, out_q, p.output_bitwidth)
 
 
@@ -303,25 +324,38 @@ class BnFold:
         return self.polarity.shape[0]
 
     def apply_bits(self, values: np.ndarray) -> np.ndarray:
-        """{0,1} bits for an integer array whose last axis is channels."""
-        v = values.astype(np.int64)
-        return (v * self.polarity.astype(np.int64) >= self.threshold.astype(np.int64))
+        """Bool bits for an integer array whose last axis is channels.
+
+        The polarity folds into the threshold: for polarity -1,
+        -v >= t  <=>  not (v >= 1 - t), so one comparison against a
+        per-channel threshold plus a per-channel flip gives every bit.  The
+        comparison runs in the values' own dtype unless a folded threshold
+        falls outside it (1 - INT32_MIN does), and then in int64.
+        """
+        thr = self.threshold.astype(np.int64)
+        flip = self.polarity < 0
+        folded = np.where(flip, 1 - thr, thr)
+        info = np.iinfo(values.dtype)
+        if info.min <= folded.min(initial=0) and folded.max(initial=0) <= info.max:
+            folded = folded.astype(values.dtype)
+        bits = values >= folded
+        bits ^= flip
+        return bits
 
 
 def binarize_sign(x: FixedTensor, fold: BnFold) -> BinaryTensor:
     """Fold batch norm over a fixed-point tensor and binarize by sign."""
     if x.channels != fold.channels:
         raise ValueError(f"tensor has {x.channels} channels, fold has {fold.channels}")
-    bits = fold.apply_bits(x.values).astype(np.uint32)
-    return BinaryTensor(x.height, x.width, x.channels, _pack_bits(bits))
+    return BinaryTensor(x.height, x.width, x.channels, _pack_bits(fold.apply_bits(x.values)))
 
 
 def threshold_activation(acc: np.ndarray, fold: BnFold) -> BinaryTensor:
     """Binarize a conv accumulator tensor [H][W][C] through a folded batch norm."""
     if acc.ndim != 3 or acc.shape[2] != fold.channels:
         raise ValueError(f"accumulator shape {acc.shape} does not match fold ({fold.channels} channels)")
-    bits = fold.apply_bits(acc).astype(np.uint32)
-    return BinaryTensor(acc.shape[0], acc.shape[1], acc.shape[2], _pack_bits(bits))
+    return BinaryTensor(acc.shape[0], acc.shape[1], acc.shape[2],
+                        _pack_bits(fold.apply_bits(acc)))
 
 
 # ---------------------------------------------------------------------------

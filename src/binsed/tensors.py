@@ -17,8 +17,6 @@ import numpy as np
 
 WORD_BITS = 32
 
-_SHIFTS = np.arange(WORD_BITS, dtype=np.uint32)
-
 
 def words_per_pixel(channels: int) -> int:
     """Number of 32-bit words needed for one pixel's channel vector."""
@@ -122,22 +120,22 @@ def signed_range(bitwidth: int) -> tuple[int, int]:
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a trailing channel axis of {0,1} values into uint32 words.
 
-    bits: [..., C] integer array of 0/1.  Returns [..., ceil(C/32)] uint32 with
-    channel 32*w+b in bit b of word w; padding bits are zero.
+    bits: [..., C] bool or 0/1 integer array.  Returns [..., ceil(C/32)] uint32
+    with channel 32*w+b in bit b of word w; padding bits are zero.
     """
-    c = bits.shape[-1]
-    nw = words_per_pixel(c)
-    padded = np.zeros(bits.shape[:-1] + (nw * WORD_BITS,), dtype=np.uint32)
-    padded[..., :c] = bits
-    grouped = padded.reshape(bits.shape[:-1] + (nw, WORD_BITS))
-    return np.bitwise_or.reduce(grouped << _SHIFTS, axis=-1)
+    nbytes = 4 * words_per_pixel(bits.shape[-1])
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    if packed.shape[-1] != nbytes:
+        padded = np.zeros(packed.shape[:-1] + (nbytes,), dtype=np.uint8)
+        padded[..., :packed.shape[-1]] = packed
+        packed = padded
+    return packed.view("<u4").astype(np.uint32, copy=False)
 
 
 def _unpack_bits(words: np.ndarray, channels: int) -> np.ndarray:
     """Inverse of _pack_bits: [..., nw] uint32 -> [..., channels] of {0,1} uint8."""
-    bits = (words[..., None] >> _SHIFTS) & np.uint32(1)
-    flat = bits.reshape(words.shape[:-1] + (words.shape[-1] * WORD_BITS,))
-    return flat[..., :channels].astype(np.uint8)
+    le_bytes = np.ascontiguousarray(words, dtype="<u4").view(np.uint8)
+    return np.unpackbits(le_bytes, axis=-1, count=channels, bitorder="little")
 
 
 def pack(dense: np.ndarray) -> BinaryTensor:
@@ -153,8 +151,7 @@ def pack(dense: np.ndarray) -> BinaryTensor:
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"element {dense[idx]} at {idx} is not -1 or +1")
     h, w, c = dense.shape
-    bits = ((dense.astype(np.int64) + 1) // 2).astype(np.uint32)
-    return BinaryTensor(h, w, c, _pack_bits(bits))
+    return BinaryTensor(h, w, c, _pack_bits(dense == 1))
 
 
 def unpack(t: BinaryTensor) -> np.ndarray:
@@ -173,8 +170,7 @@ def pack_weights(dense: np.ndarray) -> PackedBinaryWeights:
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise ValueError(f"element {dense[idx]} at {idx} is not -1 or +1")
     o, ky, kx, c = dense.shape
-    bits = ((dense.astype(np.int64) + 1) // 2).astype(np.uint32)
-    return PackedBinaryWeights(o, c, ky, kx, _pack_bits(bits))
+    return PackedBinaryWeights(o, c, ky, kx, _pack_bits(dense == 1))
 
 
 def unpack_weights(w: PackedBinaryWeights) -> np.ndarray:

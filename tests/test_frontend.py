@@ -11,6 +11,7 @@ from binsed import (
     mel_to_hz,
     stft_power,
 )
+from binsed.errors import InputFormatError
 from binsed.frontend import _hann
 from binsed.oracle import direct_dft
 
@@ -64,6 +65,14 @@ def test_short_audio_zero_padded(frontend_cfg):
 def test_audio_too_long_rejected(frontend_cfg):
     with pytest.raises(ValueError, match="patch limit"):
         stft_power(np.zeros(51201), frontend_cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_audio_rejected(frontend_cfg, bad):
+    audio = np.zeros(51200)
+    audio[[1234, 40000]] = bad
+    with pytest.raises(InputFormatError, match=r"sample 1234 is -?(nan|inf)"):
+        mel_spectrogram(audio, frontend_cfg)
 
 
 def test_zero_audio_hits_log_floor(frontend_cfg):

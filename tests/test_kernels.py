@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from binsed import (
     BnFold,
@@ -197,6 +200,120 @@ def test_fold_applies_per_channel():
     bits = unpack(threshold_activation(acc, f))
     assert bits[0, 0].tolist() == [1, -1]   # 3>=2 ; -3>=0 false
     assert bits[0, 1].tolist() == [-1, 1]   # 1>=2 false ; 1>=0
+
+
+I32_MIN, I32_MAX = int(np.iinfo(np.int32).min), int(np.iinfo(np.int32).max)
+I32_EDGES = (I32_MIN, I32_MIN + 1, I32_MIN + 2, -2, -1, 0, 1, 2, I32_MAX - 1, I32_MAX)
+
+
+def reference_words(bits: np.ndarray) -> np.ndarray:
+    """Pack [..., C] bits by summing shifted integers; padding bits stay zero."""
+    c = bits.shape[-1]
+    nw = -(-c // 32)
+    padded = np.zeros(bits.shape[:-1] + (32 * nw,), dtype=np.uint64)
+    padded[..., :c] = bits
+    grouped = padded.reshape(bits.shape[:-1] + (nw, 32))
+    return (grouped << np.arange(32, dtype=np.uint64)).sum(axis=-1).astype(np.uint32)
+
+
+@st.composite
+def fold_cases(draw):
+    """A fold plus an int32 [H][W][C] array dense in values at and around its
+    thresholds (both polarities), including the int32 extremes."""
+    c = draw(st.integers(1, 200))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    thr_elems = st.one_of(st.sampled_from(I32_EDGES), st.integers(I32_MIN, I32_MAX))
+    threshold = draw(arrays(np.int32, c, elements=thr_elems))
+    polarity = draw(arrays(np.int32, c, elements=st.sampled_from((-1, 1))))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    edges = np.array(I32_EDGES, dtype=np.int64)[rng.integers(0, len(I32_EDGES), (h, w, c))]
+    near = (polarity * threshold.astype(np.int64))[None, None, :] + rng.integers(-1, 2, (h, w, c))
+    anywhere = rng.integers(I32_MIN, I32_MAX, (h, w, c), endpoint=True)
+    pick = rng.integers(0, 3, (h, w, c))
+    values = np.where(pick == 0, edges, np.where(pick == 1, near, anywhere))
+    return BnFold(polarity, threshold), np.clip(values, I32_MIN, I32_MAX).astype(np.int32)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases())
+def test_threshold_activation_matches_int64_reference(case):
+    f, acc = case
+    want = acc.astype(np.int64) * f.polarity.astype(np.int64) >= f.threshold.astype(np.int64)
+    got = threshold_activation(acc, f)
+    assert got.words.dtype == np.uint32
+    assert (got.words == reference_words(want)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_cases())
+def test_binarize_sign_matches_int64_reference(case):
+    f, values = case
+    h, w, c = values.shape
+    want = values.astype(np.int64) * f.polarity.astype(np.int64) >= f.threshold.astype(np.int64)
+    got = binarize_sign(FixedTensor(h, w, c, values, 0, 32), f)
+    assert (got.words == reference_words(want)).all()
+
+
+@st.composite
+def fixed_conv_cases(draw):
+    """Small fixed convs whose worst-case accumulator fits 31 bits, with
+    inputs that put part of the accumulators on exact negative .5 ties."""
+    shift = draw(st.integers(0, 31))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    c, oc = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    k, stride = draw(st.sampled_from((1, 3))), draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wmax = (1 << 30) // (k * k * c * 32768)
+    wts = rng.integers(-wmax, wmax, (oc, k, k, c), endpoint=True).astype(np.int32)
+    bias = rng.integers(-(1 << 30) + 1, 1 << 30, oc).astype(np.int32)
+    vals = rng.integers(-32768, 32767, (h, w, c), endpoint=True).astype(np.int32)
+    return wts, bias, vals, shift, stride
+
+
+@settings(max_examples=200, deadline=None)
+@given(fixed_conv_cases())
+def test_fixed_conv_matches_int64_rounding_shift(case):
+    wts, bias, vals, shift, stride = case
+    h, w, c = vals.shape
+    p = FixedConvParams(wts, 5, bias, 13, shift, 32)
+    got = conv2d_fixed(FixedTensor(h, w, c, vals, 8, 16), p, stride)
+    acc = naive_fixed_conv(vals, wts, bias, 0, stride)
+    assert (got.values == rounding_shift(acc.astype(np.int64), shift)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 31), st.data())
+def test_fixed_conv_rounds_negative_ties_up(shift, data):
+    # accumulators m * 2**shift - 2**(shift-1) for m <= 0 sit exactly on a tie
+    m = data.draw(arrays(np.int64, (2, 3, 1),
+                         elements=st.integers(-(1 << (31 - shift)) + 1, 0)))
+    ties = (m << shift) - (1 << (shift - 1))
+    p = FixedConvParams(np.ones((1, 1, 1, 1), dtype=np.int32), 0,
+                        np.zeros(1, dtype=np.int32), 0, shift, 32)
+    got = conv2d_fixed(FixedTensor(2, 3, 1, ties.astype(np.int32), 0, 32), p, 1)
+    assert (got.values == rounding_shift(ties, shift)).all()
+    assert (got.values == m).all()
+
+
+def test_fixed_conv_output_out_of_range_rejected():
+    p = FixedConvParams(np.ones((1, 1, 1, 1), dtype=np.int32), 0,
+                        np.zeros(1, dtype=np.int32), 0, 0, 16)
+    x = FixedTensor(1, 2, 1, np.array([[[40000], [1]]], dtype=np.int32), 0, 32)
+    with pytest.raises(ValueError, match="exceeds 16-bit range"):
+        conv2d_fixed(x, p, 1)
+    x = FixedTensor(1, 2, 1, np.array([[[-40000], [1]]], dtype=np.int32), 0, 32)
+    with pytest.raises(ValueError, match="exceeds 16-bit range"):
+        conv2d_fixed(x, p, 1)
+
+
+@pytest.mark.parametrize("shift", [-1, 53])
+def test_fixed_conv_rejects_shift_outside_exact_range(shift):
+    p = FixedConvParams(np.ones((1, 1, 1, 1), dtype=np.int32), 0,
+                        np.zeros(1, dtype=np.int32), 0, shift, 32)
+    x = FixedTensor(1, 1, 1, np.ones((1, 1, 1), dtype=np.int32), 0, 16)
+    with pytest.raises(ValueError, match="output shift"):
+        conv2d_fixed(x, p, 1)
 
 
 # ---------------------------------------------------------------------------

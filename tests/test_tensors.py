@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from binsed import (
     BinaryTensor,
@@ -11,6 +14,7 @@ from binsed import (
     unpack_weights,
 )
 from binsed.kernels import get_popcount
+from binsed.tensors import _pack_bits, _unpack_bits
 
 
 def test_pack_single_plus_one():
@@ -65,6 +69,19 @@ def test_padding_bits_are_zero_and_popcount_safe():
         t = pack(rng.choice([-1, 1], (3, 4, c)).astype(np.int8))
         per_pixel = popcount(t.words).astype(np.int64).sum(axis=-1)
         assert (per_pixel <= c).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 200))
+       .flatmap(lambda shape: arrays(np.bool_, shape)))
+def test_pack_bits_unpack_bits_roundtrip(bits):
+    words = _pack_bits(bits)
+    c = bits.shape[-1]
+    assert words.dtype == np.uint32 and words.shape == bits.shape[:-1] + (-(-c // 32),)
+    assert (_unpack_bits(words, c) == bits).all()
+    # padding bits past the channel count are zero
+    assert (_unpack_bits(words, words.shape[-1] * 32)[..., c:] == 0).all()
+    assert (_pack_bits(bits.astype(np.uint32)) == words).all()
 
 
 def test_weights_roundtrip():
