@@ -3,7 +3,8 @@
 A 16 kHz audio clip becomes a 64x400 fixed-point log-Mel patch, runs through a
 7-layer network (fixed-point first/last layers, xor+popcount binary layers in
 between, folded batch-norm thresholds), and yields 28 class scores.  Execution
-can be monolithic or tiled along the time axis with a derived halo; both are
+is tiled along the time axis with a derived halo, threads running over tiles;
+monolithic execution is the one-tile-per-worker plan, and every plan is
 bit-identical.  Slow reference oracles back every fast path.
 """
 

@@ -93,7 +93,9 @@ def cmd_infer(args) -> int:
 
     t0 = time.perf_counter()
     if args.tiled:
-        plan = executor.plan_tiles(model.network, args.tiles)
+        tiles = args.tiles if args.tiles is not None \
+            else executor.l1_tile_count(model.network)
+        plan = executor.plan_tiles(model.network, tiles)
         result = executor.run_tiled(x, model.network, plan, threads=args.threads)
     else:
         result = executor.run_monolithic(x, model.network, threads=args.threads)
@@ -217,7 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--tiled", action="store_true")
     mode.add_argument("--monolithic", dest="tiled", action="store_false")
-    p.add_argument("--tiles", type=int, default=4)
+    p.add_argument("--tiles", type=int, default=None,
+                   help="tile count for --tiled (default: the fewest tiles "
+                        "whose working set fits the 64 KiB L1 budget)")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)

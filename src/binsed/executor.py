@@ -1,11 +1,13 @@
-"""Network descriptors and end-to-end execution: monolithic, and tiled along
-the time axis with a derived halo so tiled output is bit-exact against the
-monolithic run.  Also MAC accounting, memory footprint reporting, and the
-per-layer benchmark harness.
+"""Network descriptors and end-to-end execution.  There is one executor:
+tiles along the time axis, each extended by a derived halo so every plan is
+bit-exact, with threads running over tiles only.  Monolithic execution is
+the plan with one tile per worker.  Also MAC accounting, memory footprint
+reporting, and the per-layer benchmark harness.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import statistics
 import time
@@ -30,13 +32,14 @@ from .kernels import (
     threshold_activation,
 )
 from .tensors import (
-    BinaryTensor,
     FixedTensor,
     PackedBinaryWeights,
     unpack,
     unpack_weights,
     words_per_pixel,
 )
+
+log = logging.getLogger(__name__)
 
 FIXED_CONV = "fixed_conv"
 BINARY_CONV = "binary_conv"
@@ -198,14 +201,12 @@ class InferenceResult:
         return self.scores * 2.0 ** (-self.score_qformat) / self.divisor
 
 
-def _run_layer(layer: LayerSpec, x, region: ColRegion | None,
-               threads: int, popcount: str | None):
+def _run_layer(layer: LayerSpec, x, region: ColRegion | None, popcount: str | None):
     if layer.kind == FIXED_CONV:
         t = conv2d_fixed(x, layer.fixed, layer.stride, region)
         return binarize_sign(t, layer.fold)
     if layer.kind == BINARY_CONV:
-        acc = conv2d_binary(x, layer.weights, layer.stride, region,
-                            popcount=popcount, threads=threads)
+        acc = conv2d_binary(x, layer.weights, layer.stride, region, popcount=popcount)
         return threshold_activation(acc, layer.fold)
     # final layer: +-1 activations become fixed-point values at qformat 0
     dense = unpack(x).astype(np.int32)
@@ -223,69 +224,9 @@ def _check_input(x: FixedTensor, net: NetworkSpec) -> None:
             f"{net.input_qformat}")
 
 
-def _final_qformat(net: NetworkSpec) -> int:
-    p = net.layers[-1].fixed
-    return p.weights_qformat - p.output_shift  # final conv input is qformat 0
-
-
-def _concat_width(pieces):
-    first = pieces[0]
-    if isinstance(first, BinaryTensor):
-        words = np.concatenate([p.words for p in pieces], axis=1)
-        return BinaryTensor(first.height, words.shape[1], first.channels, words)
-    values = np.concatenate([p.values for p in pieces], axis=1)
-    return FixedTensor(first.height, values.shape[1], first.channels, values,
-                       first.qformat, first.bitwidth)
-
-
-def _run_layer_parallel(layer: LayerSpec, x, full_width: int, workers: int,
-                        popcount: str | None):
-    """Column-chunked layer execution: each worker computes a disjoint slice of
-    the monolithic output through the offset-aware kernels, so the
-    concatenation is bit-identical to the single-threaded run."""
-    out_w = same_pad(full_width, layer.kernel[1], layer.stride)[0]
-    bounds = np.linspace(0, out_w, workers + 1).astype(int)
-    regions = [ColRegion(full_width, 0, int(a), int(b))
-               for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    if len(regions) == 1:
-        return _run_layer(layer, x, None, 1, popcount)
-    with ThreadPoolExecutor(max_workers=len(regions)) as pool_exec:
-        futures = [pool_exec.submit(_run_layer, layer, x, r, 1, popcount)
-                   for r in regions]
-        return _concat_width([f.result() for f in futures])
-
-
-def run_layers(x: FixedTensor, net: NetworkSpec, threads: int = 1,
-               popcount: str | None = None) -> list:
-    """Forward pass returning every layer output (last one is the class map).
-
-    threads > 1 splits every layer's output columns across a worker pool;
-    results are bit-identical to the sequential run.
-    """
-    _check_input(x, net)
-    workers = min(max(1, threads), os.cpu_count() or 1)
-    outs = []
-    cur = x
-    for i, layer in enumerate(net.layers):
-        if cur.channels != layer.in_channels:
-            raise ShapeMismatchError(
-                f"layer {i} ({layer.name}) expects {layer.in_channels} channels, "
-                f"got {cur.channels}")
-        if workers == 1:
-            cur = _run_layer(layer, cur, None, 1, popcount)
-        else:
-            cur = _run_layer_parallel(layer, cur, cur.width, workers, popcount)
-        outs.append(cur)
-    return outs
-
-
-def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1,
-                   popcount: str | None = None) -> InferenceResult:
-    """Run the whole network on the full feature map."""
-    final = run_layers(x, net, threads, popcount)[-1]
-    pool = global_avg_pool(final.values)
-    return InferenceResult(pool.sums, pool.count, predict(pool.sums),
-                           _final_qformat(net))
+def _workers(threads: int) -> int:
+    # oversubscribing the cores only adds contention
+    return min(max(1, threads), os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +263,13 @@ class TilePlan:
 def plan_tiles(net: NetworkSpec, tile_count: int, halo: int | None = None) -> TilePlan:
     """Balance output columns over tiles and extend each input range by halo/2.
 
-    The default halo is derived from the receptive field; adjacent tile input
-    ranges then overlap by exactly halo pixels (away from the image edges).
+    The default halo is derived from the receptive field; with odd kernels
+    adjacent input ranges then overlap by exactly halo pixels (away from the
+    image edges).  An even kernel's odd pad pixel sits on the right, so with
+    the derived halo each range is also widened to the exact interval its
+    output columns need.
     """
+    derived = halo is None
     chain = net.shape_chain()
     final_w = chain[-1][1]
     input_w = chain[0][1]
@@ -343,10 +288,14 @@ def plan_tiles(net: NetworkSpec, tile_count: int, halo: int | None = None) -> Ti
         hi = lo + base + (1 if t < extra else 0)
         out_ranges.append((lo, hi))
         lo = hi
-    in_ranges = [
-        (max(0, olo * jump - halo // 2), min(input_w, ohi * jump + (halo + 1) // 2))
-        for olo, ohi in out_ranges
-    ]
+    in_ranges = []
+    for olo, ohi in out_ranges:
+        lo = max(0, olo * jump - halo // 2)
+        hi = min(input_w, ohi * jump + (halo + 1) // 2)
+        if derived:
+            need_lo, need_hi = _backward_intervals(net, olo, ohi)[0]
+            lo, hi = min(lo, need_lo), max(hi, need_hi)
+        in_ranges.append((lo, hi))
     return TilePlan(tile_count, halo, tuple(out_ranges), tuple(in_ranges))
 
 
@@ -377,18 +326,19 @@ def _run_tile(x: FixedTensor, net: NetworkSpec, widths, intervals, popcount) -> 
     offset = need_lo
     for l, layer in enumerate(net.layers):
         region = ColRegion(widths[l], offset, *intervals[l + 1])
-        cur = _run_layer(layer, cur, region, 1, popcount)
+        cur = _run_layer(layer, cur, region, popcount)
         offset = intervals[l + 1][0]
     return cur.values
 
 
 def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1,
               popcount: str | None = None) -> InferenceResult:
-    """Run the network tile by tile; bit-exact equal to run_monolithic.
+    """Run the network tile by tile; bit-exact for every plan.
 
-    With threads > 1 the tiles themselves run in parallel (each one
-    single-threaded inside); tiles are independent and concatenated in plan
-    order, so the result does not depend on scheduling.
+    With threads > 1 the tiles run in parallel on one pool per call, each
+    tile single-threaded inside; this is the package's only parallelism.
+    Tiles are independent and concatenated in plan order, so the result does
+    not depend on scheduling.
     """
     _check_input(x, net)
     chain = net.shape_chain()
@@ -412,7 +362,9 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
                 f"columns [{need_lo},{need_hi}) but the plan provides [{ilo},{ihi})")
         tile_intervals.append(intervals)
 
-    workers = min(max(1, threads), os.cpu_count() or 1, plan.tile_count)
+    workers = min(_workers(threads), plan.tile_count)
+    log.debug("tile plan: %d tiles, %d workers, halo %d",
+              plan.tile_count, workers, plan.halo)
     if workers == 1:
         pieces = [_run_tile(x, net, widths, iv, popcount) for iv in tile_intervals]
     else:
@@ -421,10 +373,23 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
                        for iv in tile_intervals]
             pieces = [f.result() for f in futures]
 
-    final = np.concatenate(pieces, axis=1)
-    pool = global_avg_pool(final)
+    pool = global_avg_pool(np.concatenate(pieces, axis=1))
+    p = net.layers[-1].fixed  # the final conv's input is at qformat 0
     return InferenceResult(pool.sums, pool.count, predict(pool.sums),
-                           _final_qformat(net))
+                           p.weights_qformat - p.output_shift)
+
+
+def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1,
+                   popcount: str | None = None) -> InferenceResult:
+    """Run the whole network as one time-axis tile per worker thread.
+
+    At one thread this is the one-tile plan, the full feature map in one
+    pass; with N workers it is the N-tile plan, bit-identical by the halo
+    theorem.
+    """
+    final_w = net.shape_chain()[-1][1]
+    plan = plan_tiles(net, min(_workers(threads), final_w))
+    return run_tiled(x, net, plan, threads, popcount)
 
 
 def tile_working_sets(net: NetworkSpec, plan: TilePlan,
@@ -602,6 +567,16 @@ def footprint(net: NetworkSpec, budget: MemoryBudget | None = None,
     return result
 
 
+def l1_tile_count(net: NetworkSpec, budget: MemoryBudget | None = None) -> int:
+    """Smallest tile count whose per-tile working set fits the L1 budget, or
+    one tile per final column when none does."""
+    final_w = net.shape_chain()[-1][1]
+    for tiles in range(1, final_w + 1):
+        if footprint(net, budget, plan_tiles(net, tiles))["fits_l1"]:
+            return tiles
+    return final_w
+
+
 # ---------------------------------------------------------------------------
 # benchmark harness
 # ---------------------------------------------------------------------------
@@ -650,6 +625,8 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
           include_naive: bool = True, include_popcount_compare: bool = True) -> BenchReport:
     """Per-layer timing report plus packed-vs-naive and popcount comparisons.
 
+    Layer rows time each layer single-threaded on its own cached input; the
+    Total row times one end-to-end frontend + run_monolithic at ``threads``.
     Timing fields vary run to run; everything else (MACs, row structure) is
     deterministic.  The naive comparison runs the triple-loop oracle once per
     binary layer, so it dominates the wall time of the benchmark itself.
@@ -665,20 +642,20 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
 
     mel_time = _median_time(lambda: mel_spectrogram(audio, cfg), repetitions)
     x = mel_spectrogram(audio, cfg)
+    _check_input(x, net)
 
     macs = count_macs(net)
     names = net.layer_names()
-    outs = run_layers(x, net, threads, popcount)
-    inputs = [x] + outs[:-1]
+    inputs = [x]
+    for layer in net.layers[:-1]:
+        inputs.append(_run_layer(layer, inputs[-1], None, popcount))
 
     rows = [{"row": "Mel bins", "group": "Mel bins", "macs": None,
              "time_s": mel_time, "mac_per_s": None}]
-    layer_times = []
     for i, layer in enumerate(net.layers):
         t = _median_time(
-            lambda layer=layer, xin=inputs[i]: _run_layer(layer, xin, None, threads, popcount),
+            lambda layer=layer, xin=inputs[i]: _run_layer(layer, xin, None, popcount),
             repetitions)
-        layer_times.append(t)
         m = macs["layers"][i]["macs_same_pad"]
         group = names[i]
         if is_reference_topology(net) and i >= len(net.layers) - 2:
@@ -686,8 +663,12 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
         rows.append({"row": names[i], "group": group, "macs": m,
                      "time_s": t, "mac_per_s": m / t if t > 0 else None})
 
+    # The total is timed end to end at the requested thread count, not summed
+    # from the single-threaded layer rows.
     total_macs = macs["total_same_pad"]
-    total_time = mel_time + sum(layer_times)
+    total_time = _median_time(
+        lambda: run_monolithic(mel_spectrogram(audio, cfg), net, threads, popcount),
+        repetitions)
     rows.append({"row": "Total", "group": "Total", "macs": total_macs,
                  "time_s": total_time,
                  "mac_per_s": total_macs / total_time if total_time > 0 else None})
@@ -700,7 +681,7 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
             xin = inputs[i]
             packed_t = _median_time(
                 lambda xin=xin, layer=layer: conv2d_binary(
-                    xin, layer.weights, layer.stride, popcount=popcount, threads=1),
+                    xin, layer.weights, layer.stride, popcount=popcount),
                 repetitions)
             dense_in = unpack(xin)
             dense_w = unpack_weights(layer.weights)
@@ -724,7 +705,7 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
                 try:
                     times[backend] = _median_time(
                         lambda b=backend, xin=xin, layer=layer: conv2d_binary(
-                            xin, layer.weights, layer.stride, popcount=b, threads=1),
+                            xin, layer.weights, layer.stride, popcount=b),
                         repetitions)
                 except ValueError:
                     times[backend] = None

@@ -1,11 +1,12 @@
 """Compute primitives: fixed-point conv, xor+popcount binary conv, folded
 batch-norm threshold activation, sign binarization, global average pooling.
 
-All kernels are pure integer functions over immutable inputs; results are
-bit-identical regardless of thread count.  Convolutions use "same" zero
-padding geometry.  For the binary path, taps falling outside the image are
-excluded from the accumulation (a zero pad word would wrongly contribute -1
-per channel under the {0 -> -1} encoding).
+All kernels are pure integer functions over immutable inputs and run
+single-threaded; the executor parallelizes over tiles, never inside a
+kernel.  Convolutions use "same" zero padding geometry.  For the binary
+path, taps falling outside the image are excluded from the accumulation (a
+zero pad word would wrongly contribute -1 per channel under the {0 -> -1}
+encoding).
 
 Every kernel accepts an optional column region so the tiled executor can
 compute an exact slice of the monolithic output from an input slab: window
@@ -18,7 +19,6 @@ from __future__ import annotations
 import functools
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +228,10 @@ class FixedConvParams:
             raise ValueError(f"worst-case accumulator {bound} overflows 32 bits")
 
 
+# Largest output shift the float64 epilogue of conv2d_fixed performs exactly.
+MAX_OUTPUT_SHIFT = 52
+
+
 def rounding_shift(acc: np.ndarray, shift: int) -> np.ndarray:
     """Arithmetic right shift with rounding (adds 2**(shift-1) first)."""
     if shift < 0:
@@ -266,8 +270,8 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
     # 2**-shift and flooring then equals the integer rounding shift exactly:
     # the sum stays below 2**53 and a power-of-two scale is exact.
     shift = p.output_shift
-    if not 0 <= shift <= 52:
-        raise ValueError(f"output shift {shift} outside [0, 52]")
+    if not 0 <= shift <= MAX_OUTPUT_SHIFT:
+        raise ValueError(f"output shift {shift} outside [0, {MAX_OUTPUT_SHIFT}]")
     max_in = int(np.abs(slab).max(initial=0))
     bound = p.accumulator_bound(max_in)
     if bound >= 1 << 52:
@@ -279,6 +283,8 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
     w_f = p.weights.reshape(p.out_channels, -1).astype(np.float64)
     with single_thread():
         out = patches @ w_f.T
+    # the im2col copy is dead now; freeing it keeps it out of the epilogue's peak
+    del slab, slab_f, wins, patches
     out += p.bias.astype(np.float64) + (1 << shift >> 1)
     if shift:
         out *= 2.0 ** -shift
@@ -363,34 +369,9 @@ def threshold_activation(acc: np.ndarray, fold: BnFold) -> BinaryTensor:
 # ---------------------------------------------------------------------------
 
 
-def _binary_conv_block(pc, slab, wwords, och, taps, stride, geom, popcount_fn):
-    """Accumulate xor popcounts over all taps for one output-channel block.
-
-    pc is the shared popcount accumulator; blocks write disjoint channel
-    slices, so threaded execution is race-free and order-independent.  The
-    channel-word loop stays outside the broadcast so the wide inner axis is
-    the output channels, kept contiguous on both operands so the xor and
-    popcount loops vectorize.
-    """
-    out_h, ow, pt, pl, h, full_w, out_lo = geom
-    # [ky][kx][word][oc], contiguous over output channels
-    wt = np.ascontiguousarray(wwords[och].transpose(1, 2, 3, 0))
-    n_words = slab.shape[-1]
-    for dy, dx in taps:
-        y0, y1 = _valid_span(out_h, 0, stride, dy, pt, h)
-        c0, c1 = _valid_span(ow, out_lo, stride, dx, pl, full_w)
-        if y0 >= y1 or c0 >= c1:
-            continue
-        target = pc[y0:y1, c0:c1, och]
-        win = slab[dy + y0 * stride:dy + (y1 - 1) * stride + 1:stride,
-                   dx + c0 * stride:dx + (c1 - 1) * stride + 1:stride]
-        for wi in range(n_words):
-            target += popcount_fn(win[:, :, wi, None] ^ wt[dy, dx, wi])
-
-
 def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
                   col_region: ColRegion | None = None,
-                  popcount: str | None = None, threads: int = 1) -> np.ndarray:
+                  popcount: str | None = None) -> np.ndarray:
     """xor+popcount binary convolution; exact +-1 dot products as int32.
 
     For every output position the result equals the sum over in-image taps of
@@ -414,8 +395,7 @@ def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
     slab = _column_slab(x.words, full_w, col_offset, need_lo, need_hi, (pt, pb))
 
     # Pairs of 32-bit words fuse into one 64-bit popcount when they divide evenly.
-    nw = slab.shape[-1]
-    if nw % 2 == 0:
+    if slab.shape[-1] % 2 == 0:
         slab = slab.view(np.uint64)
         wwords = np.ascontiguousarray(w.words).view(np.uint64)
     else:
@@ -424,36 +404,28 @@ def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
     ow = out_hi - out_lo
     pc_dtype = np.uint16 if ky * kx * x.channels < (1 << 16) else np.uint32
     pc = np.zeros((out_h, ow, w.out_channels), dtype=pc_dtype)
-    taps = [(dy, dx) for dy in range(ky) for dx in range(kx)]
-    geom = (out_h, ow, pt, pl, x.height, full_w, out_lo)
-
-    # Requested thread count is an upper bound; oversubscribing the machine
-    # only adds contention, so the pool is capped at the core count.
-    workers = min(max(1, threads), os.cpu_count() or 1, w.out_channels)
-    if workers == 1:
-        _binary_conv_block(pc, slab, wwords, slice(None), taps, stride, geom, popcount_fn)
-    else:
-        blocks = np.array_split(np.arange(w.out_channels), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_binary_conv_block, pc, slab, wwords,
-                            slice(int(b[0]), int(b[-1]) + 1), taps, stride, geom,
-                            popcount_fn)
-                for b in blocks if len(b)
-            ]
-            for f in futures:
-                f.result()
-
+    # The channel-word loop stays outside the broadcast so the wide inner axis
+    # is the output channels, kept contiguous on both operands so the xor and
+    # popcount loops vectorize.  wt is [ky][kx][word][oc].
+    wt = np.ascontiguousarray(wwords.transpose(1, 2, 3, 0))
     # acc = sum over valid taps of (channels - 2*popcount); the valid-tap
-    # count factors into independent row and column tap counts.
+    # count factors into independent row (vy) and column (vx) tap counts.
     vy = np.zeros(out_h, dtype=np.int32)
     vx = np.zeros(ow, dtype=np.int32)
+    col_spans = [_valid_span(ow, out_lo, stride, dx, pl, full_w) for dx in range(kx)]
+    for c0, c1 in col_spans:
+        vx[c0:c1] += 1
     for dy in range(ky):
         y0, y1 = _valid_span(out_h, 0, stride, dy, pt, x.height)
         vy[y0:y1] += 1
-    for dx in range(kx):
-        c0, c1 = _valid_span(ow, out_lo, stride, dx, pl, full_w)
-        vx[c0:c1] += 1
+        for dx, (c0, c1) in enumerate(col_spans):
+            if y0 >= y1 or c0 >= c1:
+                continue
+            target = pc[y0:y1, c0:c1]
+            win = slab[dy + y0 * stride:dy + (y1 - 1) * stride + 1:stride,
+                       dx + c0 * stride:dx + (c1 - 1) * stride + 1:stride]
+            for wi in range(slab.shape[-1]):
+                target += popcount_fn(win[:, :, wi, None] ^ wt[dy, dx, wi])
     valid_taps = vy[:, None] * vx[None, :]
     return x.channels * valid_taps[:, :, None] - 2 * pc.astype(np.int32)
 

@@ -39,7 +39,7 @@ from .executor import (
     NetworkSpec,
 )
 from .frontend import FrontendConfig
-from .kernels import BnFold, FixedConvParams, rounding_shift
+from .kernels import MAX_OUTPUT_SHIFT, BnFold, FixedConvParams, rounding_shift
 from .tensors import (
     PackedBinaryWeights,
     pack_weights,
@@ -416,7 +416,7 @@ def load(data: bytes) -> Model:
     cfg = _unpack_frontend(cur)
     h, w, c, in_q, _pad, classes, n_layers = cur.unpack(_NET_FMT)
     layers = []
-    for _ in range(n_layers):
+    for index in range(n_layers):
         code, ky, kx, stride, in_c, out_c = cur.unpack(_LAYER_FMT)
         if code not in _KIND_NAMES:
             raise TruncatedError(f"unknown layer kind code {code}")
@@ -433,6 +433,9 @@ def load(data: bytes) -> Model:
             wq, bq, shift, out_bw, has_fold, w_store, _r = cur.unpack(_FIXED_FMT)
             if w_store not in (16, 32):
                 raise TruncatedError(f"bad weight storage width {w_store}")
+            if shift > MAX_OUTPUT_SHIFT:
+                raise TruncatedError(f"layer {index}: output_shift {shift} "
+                                      f"outside [0, {MAX_OUTPUT_SHIFT}]")
             wts = cur.array("<i2" if w_store == 16 else "<i4",
                             out_c * ky * kx * in_c).astype(np.int32)
             bias = cur.array("<i4", out_c).astype(np.int32)

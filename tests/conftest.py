@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,14 @@ def random_mel_input(rng, cfg=None) -> FixedTensor:
     vals = rng.integers(-24000, 16000, (cfg.mel_bins, cfg.frames, 1), dtype=np.int64)
     return FixedTensor(cfg.mel_bins, cfg.frames, 1, vals.astype(np.int32),
                        cfg.output_qformat, 16)
+
+
+def with_output_shift(model, layer_index: int, shift: int):
+    """A copy of a model whose fixed-point layer has another output shift."""
+    net = model.network
+    layers = list(net.layers)
+    layer = layers[layer_index]
+    layers[layer_index] = dataclasses.replace(
+        layer, fixed=dataclasses.replace(layer.fixed, output_shift=shift))
+    return dataclasses.replace(
+        model, network=dataclasses.replace(net, layers=tuple(layers)))

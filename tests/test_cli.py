@@ -1,4 +1,5 @@
 import json
+import logging
 import wave
 
 import numpy as np
@@ -9,6 +10,7 @@ from binsed.cli import chunk_audio, main, read_wav
 from binsed.errors import InputFormatError
 from binsed.model_io import Model
 from binsed.executor import NetworkSpec
+from tests.conftest import with_output_shift
 
 
 def write_wav(path, samples, rate=16000, channels=1, width=2):
@@ -127,6 +129,21 @@ def test_infer_tiled_matches_monolithic(workdir, capsys):
     assert mono["prediction"] == tiled["prediction"]
 
 
+def test_infer_tiled_default_is_l1_tile_count(workdir, capsys, caplog):
+    # 6 tiles is the fewest whose working set fits the 64 KiB L1 budget on
+    # the reference topology; stdout equals the monolithic run's.
+    base = ["--model", str(workdir / "model.bsed"),
+            "--wav", str(workdir / "tone.wav"), "--json"]
+    assert main(["infer"] + base) == 0
+    mono = json.loads(capsys.readouterr().out)
+    caplog.set_level(logging.DEBUG, logger="binsed.executor")
+    assert main(["infer", "--tiled", "--threads", "1"] + base) == 0
+    tiled = json.loads(capsys.readouterr().out)
+    assert {**tiled, "mode": "monolithic"} == mono
+    assert any("tile plan: 6 tiles, 1 workers, halo 20" in r.getMessage()
+               for r in caplog.records)
+
+
 def test_infer_oracle_flag(workdir, capsys):
     assert main(["infer", "--model", str(workdir / "model.bsed"),
                  "--wav", str(workdir / "silence.wav"), "--oracle", "--json"]) == 0
@@ -205,6 +222,14 @@ def test_truncated_model_exits_3(workdir, capsys):
     assert main(["infer", "--model", str(bad),
                  "--wav", str(workdir / "silence.wav")]) == 3
     capsys.readouterr()
+
+
+def test_output_shift_beyond_range_exits_3(workdir, reference_model, capsys):
+    path = workdir / "shift60.bsed"
+    path.write_bytes(save(with_output_shift(reference_model, 6, 60)))
+    assert main(["infer", "--model", str(path),
+                 "--wav", str(workdir / "silence.wav")]) == 3
+    assert "layer 6: output_shift 60" in capsys.readouterr().err
 
 
 def test_shape_mismatch_exits_4(workdir, reference_model, capsys):

@@ -1,7 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binsed import (
     MemoryBudget,
@@ -18,12 +21,17 @@ from binsed import (
 )
 from binsed.errors import ShapeMismatchError
 from binsed.executor import (
+    BINARY_CONV,
+    FINAL_CONV,
+    FIXED_CONV,
     LayerSpec,
     NetworkSpec,
     PUBLISHED_TOTAL_MACS,
     REFERENCE_TABLE,
+    l1_tile_count,
 )
 from binsed.kernels import BnFold, rounding_shift
+from binsed.model_io import gen_random_float_model, quantize_model
 from binsed.oracle import reference_network_run
 from binsed.tensors import FixedTensor, pack_weights
 from tests.conftest import random_mel_input
@@ -142,6 +150,80 @@ def test_tiled_equals_monolithic(reference_model):
     tiled8 = run_tiled(x, reference_model.network,
                        plan_tiles(reference_model.network, 4), threads=8)
     assert (tiled8.scores == mono.scores).all()
+
+
+@st.composite
+def small_topologies(draw):
+    """A fixed first layer, 1-3 binary layers and a final conv, on a small
+    input; the halo ranges far beyond the reference topology's 20.  Even
+    kernels pad one pixel more on the right than on the left."""
+    channels = st.integers(16, 70)
+    k = draw(st.integers(1, 5))
+    table = [(FIXED_CONV, k, k, draw(channels), draw(st.sampled_from((1, 2))))]
+    for _ in range(draw(st.integers(1, 3))):
+        table.append((BINARY_CONV, draw(st.integers(1, 3)),
+                      draw(st.integers(1, 5)), draw(channels),
+                      draw(st.sampled_from((1, 2)))))
+    classes = draw(st.integers(2, 8))
+    table.append((FINAL_CONV, 1, 1, classes, 1))
+    shape = (draw(st.integers(3, 11)), 2 * draw(st.integers(4, 39)) + 1, 1)
+    return tuple(table), shape, classes, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_topologies())
+def test_tiling_theorem_over_random_topologies(case):
+    table, shape, classes, seed = case
+    net = quantize_model(gen_random_float_model(
+        seed, table=table, input_shape=shape, classes=classes)).network
+    vals = np.random.default_rng(seed).integers(-24000, 16000, shape)
+    x = FixedTensor(*shape, vals.astype(np.int32), net.input_qformat, 16)
+    sums, divisor = reference_network_run(net, x)
+    final_w = net.shape_chain()[-1][1]
+    for tiles in sorted({1, 2, 3, final_w} & set(range(1, final_w + 1))):
+        for threads in (1, 2):
+            res = run_tiled(x, net, plan_tiles(net, tiles), threads)
+            assert (res.scores == sums).all() and res.divisor == divisor, \
+                f"tiles={tiles} threads={threads} halo={receptive_field_halo(net)}"
+    for threads in (1, 2, 8):
+        res = run_monolithic(x, net, threads)
+        assert (res.scores == sums).all() and res.divisor == divisor, \
+            f"monolithic threads={threads}"
+
+
+def test_even_kernels_tile_at_any_count():
+    # with kx=2 the receptive field reaches two columns right of a tile and
+    # none to its left, more than an even split of the halo provides
+    table = ((FIXED_CONV, 2, 2, 16, 1), (BINARY_CONV, 2, 2, 16, 1),
+             (FINAL_CONV, 1, 1, 4, 1))
+    net = quantize_model(gen_random_float_model(
+        1, table=table, input_shape=(3, 20, 1), classes=4)).network
+    assert plan_tiles(net, 2).in_ranges == ((0, 12), (9, 20))
+    vals = np.random.default_rng(1).integers(-24000, 16000, (3, 20, 1))
+    x = FixedTensor(3, 20, 1, vals.astype(np.int32), net.input_qformat, 16)
+    sums, _ = reference_network_run(net, x)
+    for tiles in range(1, 21):
+        assert (run_tiled(x, net, plan_tiles(net, tiles), 2).scores == sums).all()
+    assert (run_monolithic(x, net, threads=2).scores == sums).all()
+
+
+def test_run_logs_its_tile_plan(reference_model, caplog):
+    x = random_mel_input(np.random.default_rng(6))
+    caplog.set_level(logging.DEBUG, logger="binsed.executor")
+    run_monolithic(x, reference_model.network, threads=1)
+    run_tiled(x, reference_model.network, plan_tiles(reference_model.network, 4))
+    plans = [r.getMessage() for r in caplog.records if "tile plan" in r.getMessage()]
+    assert plans == ["tile plan: 1 tiles, 1 workers, halo 20",
+                     "tile plan: 4 tiles, 1 workers, halo 20"]
+
+
+def test_l1_tile_count_is_fewest_tiles_that_fit(reference_model):
+    net = reference_model.network
+    assert l1_tile_count(net) == 6
+    assert not footprint(net, plan=plan_tiles(net, 5))["fits_l1"]
+    assert footprint(net, plan=plan_tiles(net, 6))["tile_peak_bytes"] == 62720
+    # a budget nothing fits falls back to one tile per final column
+    assert l1_tile_count(net, MemoryBudget(l1_bytes=1)) == 100
 
 
 def test_halo_18_rejected(reference_model):

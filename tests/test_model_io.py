@@ -16,6 +16,7 @@ from binsed import (
 from binsed.errors import (
     BadMagicError,
     CrcError,
+    ModelFormatError,
     TrailingDataError,
     TruncatedError,
     VersionError,
@@ -27,7 +28,7 @@ from binsed.model_io import (
     quantize_model,
     save_float_model,
 )
-from tests.conftest import random_mel_input
+from tests.conftest import random_mel_input, with_output_shift
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,20 @@ def test_trailing_bytes_rejected(reference_model):
     blob = save(reference_model)
     with pytest.raises(TrailingDataError):
         load(blob + b"\x00")
+
+
+@pytest.mark.parametrize("layer_index, shift", [(6, 53), (6, 60), (6, 255), (0, 60)])
+def test_output_shift_beyond_exact_range_rejected_at_load(reference_model,
+                                                          layer_index, shift):
+    blob = save(with_output_shift(reference_model, layer_index, shift))
+    with pytest.raises(ModelFormatError,
+                       match=rf"layer {layer_index}: output_shift {shift} "):
+        load(blob)
+
+
+def test_output_shift_at_exact_limit_loads(reference_model):
+    model = load(save(with_output_shift(reference_model, 6, 52)))
+    assert model.network.layers[6].fixed.output_shift == 52
 
 
 # ---------------------------------------------------------------------------
