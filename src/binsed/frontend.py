@@ -47,6 +47,8 @@ class FrontendConfig:
             raise ValueError("fft_size must be >= window")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
             raise ValueError("need 0 <= fmin < fmax <= Nyquist")
+        if not 0.0 < self.log_floor < np.inf:
+            raise ValueError(f"log_floor must be a finite number > 0, got {self.log_floor}")
 
     @property
     def patch_samples(self) -> int:
@@ -91,9 +93,12 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return _filterbank_cached(cfg.sample_rate, cfg.fft_size, cfg.mel_bins, cfg.fmin, cfg.fmax)
 
 
+@lru_cache(maxsize=8)
 def _hann(n: int) -> np.ndarray:
-    # Periodic Hann, the STFT-analysis variant.
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    # Periodic Hann, the STFT-analysis variant; cached, so read-only.
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    w.flags.writeable = False
+    return w
 
 
 def _as_float_audio(audio) -> np.ndarray:
@@ -126,10 +131,11 @@ def stft_power(audio, cfg: FrontendConfig) -> np.ndarray:
         a = np.pad(a, (0, total - len(a)))
     half = cfg.window // 2
     padded = np.pad(a, (half, half), mode="reflect")
-    starts = np.arange(cfg.frames) * cfg.hop
-    frames = padded[starts[:, None] + np.arange(cfg.window)]
+    # a strided view; the window multiply makes the only frame copy
+    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.window)[::cfg.hop][:cfg.frames]
     spectra = np.fft.rfft(frames * _hann(cfg.window), n=cfg.fft_size, axis=1)
-    power = spectra.real ** 2 + spectra.imag ** 2
+    power = spectra.real ** 2
+    power += spectra.imag ** 2
     return power.T
 
 
@@ -140,5 +146,5 @@ def mel_spectrogram(audio, cfg: FrontendConfig | None = None) -> FixedTensor:
     with single_thread():
         mel = mel_filterbank(cfg) @ power
     if cfg.log_compress:
-        mel = np.log(np.maximum(mel, cfg.log_floor))
+        np.log(np.maximum(mel, cfg.log_floor, out=mel), out=mel)
     return quantize_real(mel[:, :, None], cfg.output_qformat, bitwidth=16)

@@ -363,8 +363,11 @@ def _pack_frontend(cfg: FrontendConfig) -> bytes:
 def _unpack_frontend(cur: _Cursor) -> FrontendConfig:
     (sr, win, hop, nfft, mels, frames, fmin, fmax, floor,
      logc, out_q, _pad) = cur.unpack(_FRONTEND_FMT)
-    return FrontendConfig(sr, win, hop, nfft, mels, frames, fmin, fmax, floor,
-                          bool(logc), out_q)
+    try:
+        return FrontendConfig(sr, win, hop, nfft, mels, frames, fmin, fmax, floor,
+                              bool(logc), out_q)
+    except ValueError as e:
+        raise TruncatedError(f"frontend config: {e}") from e
 
 
 def _pack_fold(fold: BnFold) -> bytes:
@@ -415,6 +418,9 @@ def load(data: bytes) -> Model:
     cur = _Cursor(payload)
     cfg = _unpack_frontend(cur)
     h, w, c, in_q, _pad, classes, n_layers = cur.unpack(_NET_FMT)
+    if in_q != cfg.output_qformat:
+        raise TruncatedError(f"network input_qformat {in_q} does not match "
+                             f"frontend output_qformat {cfg.output_qformat}")
     layers = []
     for index in range(n_layers):
         code, ky, kx, stride, in_c, out_c = cur.unpack(_LAYER_FMT)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -33,3 +34,12 @@ def with_output_shift(model, layer_index: int, shift: int):
         layer, fixed=dataclasses.replace(layer.fixed, output_shift=shift))
     return dataclasses.replace(
         model, network=dataclasses.replace(net, layers=tuple(layers)))
+
+
+def with_frontend_fields(model, **fields):
+    """A copy of a model whose frontend record holds the given field values,
+    even ones FrontendConfig itself refuses (as a model written elsewhere may)."""
+    cfg = copy.copy(model.frontend)
+    for name, value in fields.items():
+        object.__setattr__(cfg, name, value)
+    return dataclasses.replace(model, frontend=cfg)

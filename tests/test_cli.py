@@ -10,7 +10,7 @@ from binsed.cli import chunk_audio, main, read_wav
 from binsed.errors import InputFormatError
 from binsed.model_io import Model
 from binsed.executor import NetworkSpec
-from tests.conftest import with_output_shift
+from tests.conftest import with_frontend_fields, with_output_shift
 
 
 def write_wav(path, samples, rate=16000, channels=1, width=2):
@@ -232,12 +232,26 @@ def test_output_shift_beyond_range_exits_3(workdir, reference_model, capsys):
     assert "layer 6: output_shift 60" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"window": 400}, "frontend config: window must cover 32 ms"),
+    ({"output_qformat": 11}, "network input_qformat 10 does not match frontend "
+                             "output_qformat 11"),
+], ids=["window", "qformat"])
+def test_inconsistent_frontend_exits_3(workdir, reference_model, capsys, fields, message):
+    path = workdir / "frontend.bsed"
+    path.write_bytes(save(with_frontend_fields(reference_model, **fields)))
+    assert main(["infer", "--model", str(path),
+                 "--wav", str(workdir / "silence.wav")]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_shape_mismatch_exits_4(workdir, reference_model, capsys):
-    # a model whose declared input qformat disagrees with its frontend echo
+    # a model whose declared input width disagrees with its frontend's frames
+    # (a qformat disagreement is refused at load, exit 3)
+    h, w, c = reference_model.network.input_shape
     twisted = Model(
-        NetworkSpec(reference_model.network.layers,
-                    reference_model.network.input_shape,
-                    reference_model.network.input_qformat + 1,
+        NetworkSpec(reference_model.network.layers, (h, w // 2, c),
+                    reference_model.network.input_qformat,
                     reference_model.network.classes),
         reference_model.frontend)
     path = workdir / "twisted.bsed"

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binsed import (
     FrontendConfig,
@@ -33,6 +36,12 @@ def test_config_validation():
         FrontendConfig(window=400)
     with pytest.raises(ValueError):
         FrontendConfig(fmin=9000.0)
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-10, math.nan, math.inf])
+def test_log_floor_must_be_finite_positive(floor):
+    with pytest.raises(ValueError, match="log_floor must be a finite number > 0"):
+        FrontendConfig(log_floor=floor)
 
 
 def test_filterbank_shape_and_positivity(frontend_cfg):
@@ -110,6 +119,55 @@ def test_impulse_affects_only_covering_frames(frontend_cfg):
             # impulse spectrum is flat: every bin carries win[i]**2
             assert p[:, t] == pytest.approx(np.full(257, win[i] ** 2), rel=1e-9)
     assert nonzero.tolist() == expected
+
+
+def gather_power(audio, cfg):
+    """The STFT power spectrum with frames gathered through an index matrix."""
+    a = audio / 32768.0 if audio.dtype == np.int16 else audio.astype(np.float64)
+    a = np.pad(a, (0, cfg.patch_samples - len(a)))
+    half = cfg.window // 2
+    padded = np.pad(a, (half, half), mode="reflect")
+    frames = padded[np.arange(cfg.frames)[:, None] * cfg.hop + np.arange(cfg.window)]
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(cfg.window) / cfg.window)
+    spectra = np.fft.rfft(frames * hann, n=cfg.fft_size, axis=1)
+    return (spectra.real ** 2 + spectra.imag ** 2).T
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(1, 51200), pcm=st.booleans(),
+       fft_size=st.integers(512, 1024), seed=st.integers(0, 2 ** 32 - 1))
+@example(length=1, pcm=True, fft_size=512, seed=0)
+@example(length=51200, pcm=False, fft_size=512, seed=0)
+def test_stft_power_equals_index_gather(length, pcm, fft_size, seed):
+    cfg = FrontendConfig(fft_size=fft_size)
+    rng = np.random.default_rng(seed)
+    if pcm:
+        audio = rng.integers(-32768, 32768, length).astype(np.int16)
+    else:
+        audio = rng.uniform(-1.0, 1.0, length)
+    p = stft_power(audio, cfg)
+    assert p.shape == (fft_size // 2 + 1, cfg.frames)
+    assert p.dtype == np.float64
+    assert p.tobytes() == np.ascontiguousarray(gather_power(audio, cfg)).tobytes()
+
+
+def test_mel_spectrogram_peak_memory(frontend_cfg):
+    # The windowed frames are the only frame copy; with the complex spectrum
+    # and the power spectrum they are the large arrays, and nothing else of
+    # their size may be alive at the peak.
+    cfg = frontend_cfg
+    audio = (np.random.default_rng(5).uniform(-0.5, 0.5, 51200) * 32767).astype(np.int16)
+    mel_spectrogram(audio, cfg)  # warm-up: window and filterbank caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mel_spectrogram(audio, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bins = cfg.spectrum_bins
+    bound = cfg.frames * (cfg.window * 8 + bins * 16 + bins * 8) + 512 * 1024
+    assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
 def test_stft_matches_direct_dft(frontend_cfg):

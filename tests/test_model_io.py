@@ -28,7 +28,7 @@ from binsed.model_io import (
     quantize_model,
     save_float_model,
 )
-from tests.conftest import random_mel_input, with_output_shift
+from tests.conftest import random_mel_input, with_frontend_fields, with_output_shift
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +213,32 @@ def test_output_shift_beyond_exact_range_rejected_at_load(reference_model,
 def test_output_shift_at_exact_limit_loads(reference_model):
     model = load(save(with_output_shift(reference_model, 6, 52)))
     assert model.network.layers[6].fixed.output_shift == 52
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"window": 400}, "frontend config: window must cover 32 ms"),
+    ({"log_floor": 0.0}, "frontend config: log_floor must be a finite number > 0"),
+    ({"log_floor": -1e-10}, "frontend config: log_floor must be a finite number > 0"),
+], ids=["window", "zero_log_floor", "negative_log_floor"])
+def test_invalid_frontend_config_rejected_at_load(reference_model, fields, message):
+    blob = save(with_frontend_fields(reference_model, **fields))
+    with pytest.raises(ModelFormatError, match=message):
+        load(blob)
+
+
+def test_invalid_frontend_config_in_feature_file_rejected(reference_model):
+    cfg = with_frontend_fields(reference_model, window=400).frontend
+    blob = save_features(random_mel_input(np.random.default_rng(0)), cfg)
+    with pytest.raises(ModelFormatError, match="frontend config: window must cover 32 ms"):
+        load_features(blob)
+
+
+def test_frontend_network_qformat_mismatch_rejected_at_load(reference_model):
+    blob = save(with_frontend_fields(reference_model, output_qformat=9))
+    with pytest.raises(ModelFormatError,
+                       match="network input_qformat 10 does not match "
+                             "frontend output_qformat 9"):
+        load(blob)
 
 
 # ---------------------------------------------------------------------------
