@@ -7,6 +7,7 @@ reporting, and the per-layer benchmark harness.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import statistics
@@ -22,14 +23,14 @@ from .kernels import (
     BnFold,
     ColRegion,
     FixedConvParams,
-    binarize_sign,
     conv2d_binary,
+    conv2d_binary_threshold,
     conv2d_fixed,
+    conv2d_fixed_sign,
     global_avg_pool,
     predict,
     resolve_popcount_name,
     same_pad,
-    threshold_activation,
 )
 from .tensors import (
     FixedTensor,
@@ -202,12 +203,13 @@ class InferenceResult:
 
 
 def _run_layer(layer: LayerSpec, x, region: ColRegion | None, popcount: str | None):
+    # A binarizing layer's only output is bits, so its threshold runs fused
+    # into the conv's own accumulation blocks.
     if layer.kind == FIXED_CONV:
-        t = conv2d_fixed(x, layer.fixed, layer.stride, region)
-        return binarize_sign(t, layer.fold)
+        return conv2d_fixed_sign(x, layer.fixed, layer.fold, layer.stride, region)
     if layer.kind == BINARY_CONV:
-        acc = conv2d_binary(x, layer.weights, layer.stride, region, popcount=popcount)
-        return threshold_activation(acc, layer.fold)
+        return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride,
+                                       region, popcount)
     # final layer: +-1 activations become fixed-point values at qformat 0
     dense = unpack(x).astype(np.int32)
     ft = FixedTensor(x.height, x.width, x.channels, dense, 0, 32)
@@ -227,6 +229,18 @@ def _check_input(x: FixedTensor, net: NetworkSpec) -> None:
 def _workers(threads: int) -> int:
     # oversubscribing the cores only adds contention
     return min(max(1, threads), os.cpu_count() or 1)
+
+
+def _pin_worker(cpus) -> None:
+    """Tile-pool initializer: pin the calling thread to the next CPU of cpus.
+
+    Two workers that the scheduler starts on one CPU can stay there for a
+    whole run and take twice as long as one; a pinned worker cannot.
+    """
+    try:
+        os.sched_setaffinity(0, {next(cpus)})
+    except OSError:  # the CPU left the set since it was read; run unpinned
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +351,8 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
 
     With threads > 1 the tiles run in parallel on one pool per call, each
     tile single-threaded inside; this is the package's only parallelism.
+    Each pool thread is pinned to its own CPU of the caller's affinity set,
+    where the platform can pin threads.
     Tiles are independent and concatenated in plan order, so the result does
     not depend on scheduling.
     """
@@ -368,7 +384,11 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
     if workers == 1:
         pieces = [_run_tile(x, net, widths, iv, popcount) for iv in tile_intervals]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
+        pinning = {}
+        if hasattr(os, "sched_setaffinity"):
+            cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
+            pinning = {"initializer": _pin_worker, "initargs": (cpus,)}
+        with ThreadPoolExecutor(max_workers=workers, **pinning) as pool_exec:
             futures = [pool_exec.submit(_run_tile, x, net, widths, iv, popcount)
                        for iv in tile_intervals]
             pieces = [f.result() for f in futures]

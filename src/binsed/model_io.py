@@ -374,10 +374,13 @@ def _pack_fold(fold: BnFold) -> bytes:
     return fold.polarity.astype("<i1").tobytes() + fold.threshold.astype("<i4").tobytes()
 
 
-def _unpack_fold(cur: _Cursor, channels: int) -> BnFold:
+def _unpack_fold(cur: _Cursor, index: int, channels: int) -> BnFold:
     polarity = cur.array("<i1", channels).astype(np.int32)
     threshold = cur.array("<i4", channels).astype(np.int32)
-    return BnFold(polarity, threshold)
+    try:
+        return BnFold(polarity, threshold)
+    except ValueError as e:  # a polarity other than -1 or +1
+        raise TruncatedError(f"layer {index}: {e}") from e
 
 
 def save(model: Model) -> bytes:
@@ -421,6 +424,9 @@ def load(data: bytes) -> Model:
     if in_q != cfg.output_qformat:
         raise TruncatedError(f"network input_qformat {in_q} does not match "
                              f"frontend output_qformat {cfg.output_qformat}")
+    if (h, w, c) != (cfg.mel_bins, cfg.frames, 1):
+        raise TruncatedError(f"network input_shape {(h, w, c)} does not match the "
+                             f"frontend patch shape {(cfg.mel_bins, cfg.frames, 1)}")
     layers = []
     for index in range(n_layers):
         code, ky, kx, stride, in_c, out_c = cur.unpack(_LAYER_FMT)
@@ -432,9 +438,9 @@ def load(data: bytes) -> Model:
             packed = PackedBinaryWeights(
                 out_c, in_c, ky, kx,
                 words.reshape(out_c, ky, kx, words_per_pixel(in_c)))
-            fold = _unpack_fold(cur, out_c)
-            layers.append(LayerSpec(kind, (ky, kx), in_c, out_c, stride,
-                                    weights=packed, fold=fold))
+            fold = _unpack_fold(cur, index, out_c)
+            layers.append(_layer(index, kind, (ky, kx), in_c, out_c, stride,
+                                 weights=packed, fold=fold))
         else:
             wq, bq, shift, out_bw, has_fold, w_store, _r = cur.unpack(_FIXED_FMT)
             if w_store not in (16, 32):
@@ -442,19 +448,36 @@ def load(data: bytes) -> Model:
             if shift > MAX_OUTPUT_SHIFT:
                 raise TruncatedError(f"layer {index}: output_shift {shift} "
                                       f"outside [0, {MAX_OUTPUT_SHIFT}]")
+            if out_bw not in (16, 32):
+                raise TruncatedError(f"layer {index}: output_bitwidth {out_bw} "
+                                      "is not 16 or 32")
             wts = cur.array("<i2" if w_store == 16 else "<i4",
                             out_c * ky * kx * in_c).astype(np.int32)
             bias = cur.array("<i4", out_c).astype(np.int32)
             params = FixedConvParams(wts.reshape(out_c, ky, kx, in_c), wq,
                                      bias, bq, shift, out_bw)
             # overflow possibility is a load-time check, not a per-element one
-            params.check_accumulator(signed_range(16)[1] if kind == FIXED_CONV else 1)
-            fold = _unpack_fold(cur, out_c) if has_fold else None
-            layers.append(LayerSpec(kind, (ky, kx), in_c, out_c, stride,
-                                    fixed=params, fold=fold))
+            try:
+                params.check_accumulator(signed_range(16)[1] if kind == FIXED_CONV else 1)
+            except ValueError as e:
+                raise TruncatedError(f"layer {index}: weights and bias: {e}") from e
+            fold = _unpack_fold(cur, index, out_c) if has_fold else None
+            layers.append(_layer(index, kind, (ky, kx), in_c, out_c, stride,
+                                 fixed=params, fold=fold))
     cur.done()
-    net = NetworkSpec(tuple(layers), (h, w, c), in_q, classes)
+    try:
+        net = NetworkSpec(tuple(layers), (h, w, c), in_q, classes)
+    except ValueError as e:  # channel chain, last layer kind, class count
+        raise TruncatedError(f"network: {e}") from e
     return Model(net, cfg)
+
+
+def _layer(index: int, *args, **kwargs) -> LayerSpec:
+    """LayerSpec(*args, **kwargs), with a refusal naming the layer."""
+    try:
+        return LayerSpec(*args, **kwargs)
+    except ValueError as e:  # stride, missing fold
+        raise TruncatedError(f"layer {index}: {e}") from e
 
 
 def _check_container(data: bytes, magic: bytes) -> bytes:
@@ -542,6 +565,8 @@ def load_features(data: bytes):
     cur = _Cursor(payload)
     cfg = _unpack_frontend(cur)
     count, qformat, bitwidth, h, w, c = cur.unpack("<HBB3H2x")
+    if bitwidth not in (16, 32):
+        raise TruncatedError(f"feature bitwidth {bitwidth} is not 16 or 32")
     patches = []
     for _ in range(count):
         vals = cur.array("<i2", h * w * c).astype(np.int32).reshape(h, w, c)

@@ -245,9 +245,9 @@ def test_inconsistent_frontend_exits_3(workdir, reference_model, capsys, fields,
     assert message in capsys.readouterr().err
 
 
-def test_shape_mismatch_exits_4(workdir, reference_model, capsys):
+def test_shape_mismatch_exits_3(workdir, reference_model, capsys):
     # a model whose declared input width disagrees with its frontend's frames
-    # (a qformat disagreement is refused at load, exit 3)
+    # is refused at load, so infer never reaches the executor's shape check
     h, w, c = reference_model.network.input_shape
     twisted = Model(
         NetworkSpec(reference_model.network.layers, (h, w // 2, c),
@@ -257,5 +257,5 @@ def test_shape_mismatch_exits_4(workdir, reference_model, capsys):
     path = workdir / "twisted.bsed"
     path.write_bytes(save(twisted))
     assert main(["infer", "--model", str(path),
-                 "--wav", str(workdir / "silence.wav")]) == 4
-    capsys.readouterr()
+                 "--wav", str(workdir / "silence.wav")]) == 3
+    assert "network input_shape (64, 200, 1) does not match" in capsys.readouterr().err

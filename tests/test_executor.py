@@ -1,5 +1,6 @@
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,10 @@ from binsed.executor import (
     NetworkSpec,
     PUBLISHED_TOTAL_MACS,
     REFERENCE_TABLE,
+    _backward_intervals,
     l1_tile_count,
 )
-from binsed.kernels import BnFold, rounding_shift
+from binsed.kernels import BLOCK_BYTES, BnFold, rounding_shift
 from binsed.model_io import gen_random_float_model, quantize_model
 from binsed.oracle import reference_network_run
 from binsed.tensors import FixedTensor, pack_weights
@@ -189,6 +191,39 @@ def test_tiling_theorem_over_random_topologies(case):
         res = run_monolithic(x, net, threads)
         assert (res.scores == sums).all() and res.divisor == divisor, \
             f"monolithic threads={threads}"
+
+
+def traced_peak(fn) -> int:
+    fn()  # warm-up: filterbank, popcount table and BLAS binding
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("tiles, threads", [(1, 1), (2, 2)])
+def test_inference_peak_memory(reference_model, tiles, threads):
+    # A binarizing layer writes packed bits from its accumulation blocks, so
+    # a running tile holds at most one layer's block buffers (two blocks'
+    # worth: im2col and product, or xor plus the narrower popcount, sum and
+    # bool blocks), the final layer's dense int32 input with its slab and
+    # unpack temporaries, and small change.  All tiles may peak at once.
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(15))
+    plan = plan_tiles(net, tiles)
+    h, _, c = net.shape_chain()[-2]
+    bound = 256 * 1024
+    for olo, ohi in plan.out_ranges:
+        lo, hi = _backward_intervals(net, olo, ohi)[-2]
+        bound += 2 * BLOCK_BYTES + 2 * h * (hi - lo) * c * 4
+    if tiles == 1:
+        peak = traced_peak(lambda: run_monolithic(x, net, threads=1))
+    else:
+        peak = traced_peak(lambda: run_tiled(x, net, plan, threads))
+    assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
 def test_even_kernels_tile_at_any_count():

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from binsed import (
     threshold_activation,
     unpack,
 )
+from binsed import kernels
 from binsed.kernels import (
     ColRegion,
+    conv2d_binary_threshold,
+    conv2d_fixed_sign,
     popcount_native,
     popcount_portable,
     rounding_shift,
@@ -439,6 +443,110 @@ def test_column_region_missing_columns_rejected():
     slab = pack(dense[:, 4:, :])
     with pytest.raises(ValueError, match="required"):
         conv2d_binary(slab, w, 1, col_region=ColRegion(10, 4, 0, 10))
+
+
+# ---------------------------------------------------------------------------
+# fused threshold epilogues
+# ---------------------------------------------------------------------------
+
+
+def random_region(rng, width: int, k: int, stride: int):
+    """The whole map (None, 0, width), or a random output column region with
+    the input columns [lo, hi) of a slab that covers it, give or take a
+    spare column on either side."""
+    out_w, pl, _ = same_pad(width, k, stride)
+    if rng.integers(2) == 0:
+        return None, 0, width
+    a = int(rng.integers(out_w))
+    b = int(rng.integers(a + 1, out_w + 1))
+    lo = max(0, a * stride - pl - int(rng.integers(2)))
+    hi = min(width, (b - 1) * stride - pl + k + int(rng.integers(2)))
+    return ColRegion(width, lo, a, b), lo, hi
+
+
+def random_thresholds(rng, values: np.ndarray, oc: int) -> np.ndarray:
+    """Per channel: an int32 extreme, a value the layer reaches +-1, or any int32."""
+    near = values.reshape(-1, oc)[rng.integers(len(values.reshape(-1, oc)), size=oc),
+                                  np.arange(oc)].astype(np.int64) + rng.integers(-1, 2, oc)
+    edges = np.array(I32_EDGES, dtype=np.int64)[rng.integers(len(I32_EDGES), size=oc)]
+    anywhere = rng.integers(I32_MIN, I32_MAX, oc, endpoint=True)
+    pick = rng.integers(3, size=oc)
+    thr = np.where(pick == 0, edges, np.where(pick == 1, near, anywhere))
+    return np.clip(thr, I32_MIN, I32_MAX).astype(np.int32)
+
+
+@st.composite
+def fused_cases(draw):
+    """Shape, kernel, stride, block size (1 B forces one row per block) and seed."""
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    c, oc = draw(st.integers(1, 70)), draw(st.integers(1, 40))
+    ky, kx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    stride = draw(st.sampled_from((1, 2)))
+    block = draw(st.sampled_from((1, 4096, kernels.BLOCK_BYTES)))
+    return h, w, c, oc, ky, kx, stride, block, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fused_cases(), st.sampled_from(("native", "portable")))
+def test_fused_binary_threshold_matches_unfused(case, popcount):
+    h, w, c, oc, ky, kx, stride, block, seed = case
+    rng = np.random.default_rng(seed)
+    dense = rng.choice([-1, 1], (h, w, c)).astype(np.int8)
+    dense_w = rng.choice([-1, 1], (oc, ky, kx, c)).astype(np.int8)
+    wts = pack_weights(dense_w)
+    region, lo, hi = random_region(rng, w, kx, stride)
+    x = pack(dense[:, lo:hi])
+    with mock.patch.object(kernels, "BLOCK_BYTES", block):
+        acc = conv2d_binary(x, wts, stride, region, popcount)
+        f = BnFold(rng.choice([-1, 1], oc).astype(np.int32), random_thresholds(rng, acc, oc))
+        got = conv2d_binary_threshold(x, wts, f, stride, region, popcount)
+    cols = slice(region.out_lo, region.out_hi) if region else slice(None)
+    assert (acc == naive_binary_conv(dense, dense_w, stride)[:, cols]).all()
+    want = threshold_activation(acc, f)
+    assert got.shape == want.shape
+    assert (got.words == want.words).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fused_cases(), st.integers(0, 31))
+def test_fused_fixed_sign_matches_unfused(case, shift):
+    h, w, c, oc, ky, kx, stride, block, seed = case
+    c = min(c, 4)
+    rng = np.random.default_rng(seed)
+    wmax = (1 << 30) // (ky * kx * c * 32768)
+    wts = rng.integers(-wmax, wmax, (oc, ky, kx, c), endpoint=True).astype(np.int32)
+    bias = rng.integers(-(1 << 30) + 1, 1 << 30, oc).astype(np.int32)
+    p = FixedConvParams(wts, 5, bias, 13, shift, 32)
+    vals = rng.integers(-32768, 32767, (h, w, c), endpoint=True).astype(np.int32)
+    region, lo, hi = random_region(rng, w, kx, stride)
+    x = FixedTensor(h, hi - lo, c, np.ascontiguousarray(vals[:, lo:hi]), 8, 16)
+    with mock.patch.object(kernels, "BLOCK_BYTES", block):
+        y = conv2d_fixed(x, p, stride, region)
+        f = BnFold(rng.choice([-1, 1], oc).astype(np.int32), random_thresholds(rng, y.values, oc))
+        got = conv2d_fixed_sign(x, p, f, stride, region)
+    cols = slice(region.out_lo, region.out_hi) if region else slice(None)
+    naive = naive_fixed_conv(vals, wts, bias, 0, stride).astype(np.int64)
+    assert (y.values == rounding_shift(naive, shift)[:, cols]).all()
+    want = binarize_sign(y, f)
+    assert got.shape == want.shape
+    assert (got.words == want.words).all()
+
+
+@pytest.mark.parametrize("conv", [
+    lambda x, p, f: conv2d_fixed(x, p, 1),
+    lambda x, p, f: conv2d_fixed_sign(x, p, f, 1),
+], ids=["unfused", "fused"])
+def test_fixed_conv_range_judged_when_bound_fails(conv):
+    # weight 2 over |input| <= 40000 bounds the sum at 80000, past 16 bits, so
+    # each block's actual values are judged: in range passes, out of range raises
+    p = FixedConvParams(np.full((1, 1, 1, 1), 2, dtype=np.int32), 0,
+                        np.zeros(1, dtype=np.int32), 0, 0, 16)
+    f = fold([1], [0])
+    conv(FixedTensor(1, 2, 1, np.array([[[16383], [-16384]]], dtype=np.int32), 0, 32), p, f)
+    for v in (16384, -16385, 40000, -40000):
+        x = FixedTensor(1, 2, 1, np.array([[[v], [1]]], dtype=np.int32), 0, 32)
+        with pytest.raises(ValueError, match="exceeds 16-bit range"):
+            conv(x, p, f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -239,6 +242,77 @@ def test_frontend_network_qformat_mismatch_rejected_at_load(reference_model):
                        match="network input_qformat 10 does not match "
                              "frontend output_qformat 9"):
         load(blob)
+
+
+def with_payload_bytes(blob: bytes, offset: int, value: bytes) -> bytes:
+    """The container with payload bytes [offset, offset + len(value)) replaced
+    and the CRC recomputed, as a model written elsewhere might read."""
+    data = bytearray(blob)
+    data[12 + offset:12 + offset + len(value)] = value
+    data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[12:-4])))
+    return bytes(data)
+
+
+def test_patch_shape_mismatch_rejected_at_load(reference_model):
+    # the network header follows the 52-byte frontend block: height, width, channels
+    blob = with_payload_bytes(save(reference_model), 52 + 2, struct.pack("<H", 200))
+    with pytest.raises(TruncatedError,
+                       match=r"network input_shape \(64, 200, 1\) does not match the "
+                             r"frontend patch shape \(64, 400, 1\)"):
+        load(blob)
+
+
+# Payload offsets in the seed-1 reference model: the network header at 52,
+# layer 0's header at 64, its fixed-point header at 72, its int16 weights at
+# 80, its fold polarity at 784 and layer 1's header at 944.
+@pytest.mark.parametrize("offset, value, message", [
+    (64 + 3, b"\x03", "layer 0: stride must be 1 or 2, got 3"),
+    (72 + 3, b"\x08", "layer 0: output_bitwidth 8 is not 16 or 32"),
+    (72 + 4, b"\x00", "layer 0: binarizing fixed layer needs a fold"),
+    (80, struct.pack("<h", 32767), "layer 0: weights and bias: worst-case accumulator"),
+    (784, b"\x02", "layer 0: polarity entries must be -1 or \\+1"),
+    (944 + 4, struct.pack("<H", 31), "network: layer 1 expects 31 input channels, gets 32"),
+    (52 + 8, struct.pack("<H", 27), "network: final layer emits 28 channels, expected 27"),
+], ids=["stride", "output_bitwidth", "has_fold", "accumulator", "polarity",
+        "in_channels", "classes"])
+def test_load_refusals_name_layer_and_field(reference_model, offset, value, message):
+    with pytest.raises(TruncatedError, match=message):
+        load(with_payload_bytes(save(reference_model), offset, value))
+
+
+def mutations(blob: bytes, span: int, count: int, seed: int):
+    """count copies of blob, each with one byte of the first span payload
+    bytes changed and the CRC recomputed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        offset = int(rng.integers(span))
+        old = blob[12 + offset]
+        yield with_payload_bytes(blob, offset, bytes([(old + int(rng.integers(1, 256))) % 256]))
+
+
+@pytest.mark.parametrize("span", [264, None], ids=["headers", "anywhere"])
+def test_mutated_models_raise_only_model_format_errors(reference_model, span):
+    # Past the CRC, a corrupt field must still fail as a ModelFormatError
+    # (CLI exit 3), never as a bare ValueError (exit 2) or a crash.
+    blob = save(reference_model)
+    refused = 0
+    for data in mutations(blob, span or len(blob) - 16, 1500, seed=6):
+        try:
+            load(data)
+        except ModelFormatError:
+            refused += 1
+    assert refused > 0
+
+
+def test_mutated_feature_files_raise_only_model_format_errors(frontend_cfg):
+    blob = save_features([random_mel_input(np.random.default_rng(0))], frontend_cfg)
+    refused = 0
+    for data in mutations(blob, 52 + 12, 1500, seed=7):
+        try:
+            load_features(data)
+        except ModelFormatError:
+            refused += 1
+    assert refused > 0
 
 
 # ---------------------------------------------------------------------------
