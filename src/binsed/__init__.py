@@ -16,13 +16,11 @@ from .errors import (
     ShapeMismatchError,
 )
 from .executor import (
-    BenchReport,
     InferenceResult,
     LayerSpec,
     MemoryBudget,
     NetworkSpec,
     TilePlan,
-    bench,
     count_macs,
     footprint,
     is_reference_topology,
@@ -72,6 +70,7 @@ from .model_io import (
     save_features,
     save_file,
 )
+from .timing import BenchReport, bench
 from .tensors import (
     BinaryTensor,
     FixedTensor,

@@ -19,7 +19,7 @@ import wave
 
 import numpy as np
 
-from . import executor, frontend, model_io, oracle
+from . import executor, frontend, model_io, oracle, timing
 from .errors import (
     BinsedError,
     BudgetExceededError,
@@ -46,8 +46,9 @@ def read_wav(path) -> np.ndarray:
             frames = wav.readframes(wav.getnframes())
     except (wave.Error, OSError, EOFError) as e:
         raise InputFormatError(f"cannot read WAV file {path}: {e}") from e
-    if rate != 16000:
-        raise InputFormatError(f"sample rate {rate} Hz, expected 16000 (no resampling)")
+    if rate != frontend.SAMPLE_RATE:
+        raise InputFormatError(f"sample rate {rate} Hz, expected {frontend.SAMPLE_RATE} "
+                               "(no resampling)")
     if channels != 1:
         raise InputFormatError(f"{channels} channels, expected mono")
     if width != 2:
@@ -193,9 +194,9 @@ def cmd_bench(args) -> int:
     audio = read_wav(args.wav) if args.wav else None
     if audio is not None:
         audio = chunk_audio(audio, model.frontend.patch_samples, all_chunks=False)[0]
-    report = executor.bench(model.network, model.frontend, audio,
-                            repetitions=args.reps, threads=args.threads,
-                            include_naive=not args.no_naive)
+    report = timing.bench(model.network, model.frontend, audio,
+                          repetitions=args.reps, threads=args.threads,
+                          include_naive=not args.no_naive)
     print(report.to_json_lines() if args.json else report.to_text())
     return 0
 

@@ -1,8 +1,8 @@
 """Network descriptors and end-to-end execution.  There is one executor:
 tiles along the time axis, each extended by a derived halo so every plan is
 bit-exact, with threads running over tiles only.  Monolithic execution is
-the plan with one tile per worker.  Also MAC accounting, memory footprint
-reporting, and the per-layer benchmark harness.
+the plan with one tile per worker.  Also MAC accounting and memory
+footprint reporting; the timing report lives in timing.py.
 """
 
 from __future__ import annotations
@@ -10,35 +10,24 @@ from __future__ import annotations
 import itertools
 import logging
 import os
-import statistics
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .errors import ShapeMismatchError
 from .kernels import (
     BnFold,
     ColRegion,
     FixedConvParams,
-    conv2d_binary,
     conv2d_binary_threshold,
     conv2d_fixed,
     conv2d_fixed_sign,
     global_avg_pool,
     predict,
-    resolve_popcount_name,
     same_pad,
 )
-from .tensors import (
-    FixedTensor,
-    PackedBinaryWeights,
-    unpack,
-    unpack_weights,
-    words_per_pixel,
-)
+from .tensors import FixedTensor, PackedBinaryWeights, unpack, words_per_pixel
 
 log = logging.getLogger(__name__)
 
@@ -139,16 +128,18 @@ class NetworkSpec:
     classes: int = REFERENCE_CLASSES
 
     def __post_init__(self):
-        if not self.layers:
-            raise ValueError("network needs at least one layer")
+        # the only order the executor runs: features in, bits between, scores out
+        kinds = [layer.kind for layer in self.layers]
+        if len(kinds) < 2 or kinds[0] != FIXED_CONV or kinds[-1] != FINAL_CONV \
+                or any(kind != BINARY_CONV for kind in kinds[1:-1]):
+            raise ValueError(f"layer kinds must run {FIXED_CONV}, any number of "
+                             f"{BINARY_CONV}, then {FINAL_CONV}; got {', '.join(kinds)}")
         c = self.input_shape[2]
         for i, layer in enumerate(self.layers):
             if layer.in_channels != c:
                 raise ValueError(
                     f"layer {i} expects {layer.in_channels} input channels, gets {c}")
             c = layer.out_channels
-        if self.layers[-1].kind != FINAL_CONV:
-            raise ValueError("last layer must be the final fixed-point conv")
         if c != self.classes:
             raise ValueError(f"final layer emits {c} channels, expected {self.classes} classes")
 
@@ -202,21 +193,23 @@ class InferenceResult:
         return self.scores * 2.0 ** (-self.score_qformat) / self.divisor
 
 
-def _run_layer(layer: LayerSpec, x, region: ColRegion | None, popcount: str | None):
+def run_layer(layer: LayerSpec, x, region: ColRegion | None):
+    """One layer as inference runs it, over the columns region names (the
+    whole map when None)."""
     # A binarizing layer's only output is bits, so its threshold runs fused
     # into the conv's own accumulation blocks.
     if layer.kind == FIXED_CONV:
         return conv2d_fixed_sign(x, layer.fixed, layer.fold, layer.stride, region)
     if layer.kind == BINARY_CONV:
-        return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride,
-                                       region, popcount)
+        return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride, region)
     # final layer: +-1 activations become fixed-point values at qformat 0
     dense = unpack(x).astype(np.int32)
     ft = FixedTensor(x.height, x.width, x.channels, dense, 0, 32)
     return conv2d_fixed(ft, layer.fixed, layer.stride, region)
 
 
-def _check_input(x: FixedTensor, net: NetworkSpec) -> None:
+def check_input(x: FixedTensor, net: NetworkSpec) -> None:
+    """Refuse a feature patch whose shape or qformat is not the network's input."""
     if x.shape != net.input_shape:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match network input {net.input_shape}")
@@ -332,21 +325,18 @@ def _backward_intervals(net: NetworkSpec, out_lo: int, out_hi: int) -> list[tupl
     return intervals
 
 
-def _run_tile(x: FixedTensor, net: NetworkSpec, widths, intervals, popcount) -> np.ndarray:
-    need_lo, need_hi = intervals[0]
-    cur = FixedTensor(x.height, need_hi - need_lo, x.channels,
-                      x.values[:, need_lo:need_hi, :].copy(),
-                      x.qformat, x.bitwidth)
-    offset = need_lo
+def _run_tile(x: FixedTensor, net: NetworkSpec, widths, intervals) -> np.ndarray:
+    # The first layer reads its columns straight from the whole input.
+    cur, offset = x, 0
     for l, layer in enumerate(net.layers):
         region = ColRegion(widths[l], offset, *intervals[l + 1])
-        cur = _run_layer(layer, cur, region, popcount)
+        cur = run_layer(layer, cur, region)
         offset = intervals[l + 1][0]
     return cur.values
 
 
-def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1,
-              popcount: str | None = None) -> InferenceResult:
+def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
+              threads: int = 1) -> InferenceResult:
     """Run the network tile by tile; bit-exact for every plan.
 
     With threads > 1 the tiles run in parallel on one pool per call, each
@@ -356,7 +346,7 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
     Tiles are independent and concatenated in plan order, so the result does
     not depend on scheduling.
     """
-    _check_input(x, net)
+    check_input(x, net)
     chain = net.shape_chain()
     final_w = chain[-1][1]
     covered = 0
@@ -382,14 +372,14 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
     log.debug("tile plan: %d tiles, %d workers, halo %d",
               plan.tile_count, workers, plan.halo)
     if workers == 1:
-        pieces = [_run_tile(x, net, widths, iv, popcount) for iv in tile_intervals]
+        pieces = [_run_tile(x, net, widths, iv) for iv in tile_intervals]
     else:
         pinning = {}
         if hasattr(os, "sched_setaffinity"):
             cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
             pinning = {"initializer": _pin_worker, "initargs": (cpus,)}
         with ThreadPoolExecutor(max_workers=workers, **pinning) as pool_exec:
-            futures = [pool_exec.submit(_run_tile, x, net, widths, iv, popcount)
+            futures = [pool_exec.submit(_run_tile, x, net, widths, iv)
                        for iv in tile_intervals]
             pieces = [f.result() for f in futures]
 
@@ -399,8 +389,7 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan, threads: int = 1
                            p.weights_qformat - p.output_shift)
 
 
-def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1,
-                   popcount: str | None = None) -> InferenceResult:
+def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1) -> InferenceResult:
     """Run the whole network as one time-axis tile per worker thread.
 
     At one thread this is the one-tile plan, the full feature map in one
@@ -409,15 +398,14 @@ def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1,
     """
     final_w = net.shape_chain()[-1][1]
     plan = plan_tiles(net, min(_workers(threads), final_w))
-    return run_tiled(x, net, plan, threads, popcount)
+    return run_tiled(x, net, plan, threads)
 
 
-def tile_working_sets(net: NetworkSpec, plan: TilePlan,
-                      double_buffer_weights: bool = True) -> list[dict]:
+def tile_working_sets(net: NetworkSpec, plan: TilePlan) -> list[dict]:
     """Per-tile peak working set: activation slabs plus resident weights.
 
-    Double buffering prices the next layer's weights as resident while the
-    current layer runs (the loading overlaps compute).
+    Weights are double-buffered: the next layer's weights are priced as
+    resident while the current layer runs (the loading overlaps compute).
     """
     chain = net.shape_chain()
     heights = [s[0] for s in chain]
@@ -432,7 +420,7 @@ def tile_working_sets(net: NetworkSpec, plan: TilePlan,
             in_bytes = _boundary_bytes(net, l, heights[l], in_w)
             out_bytes = _boundary_bytes(net, l + 1, heights[l + 1], out_w)
             wbytes = layer.weight_bytes() + layer.bookkeeping_bytes()
-            if double_buffer_weights and l + 1 < len(net.layers):
+            if l + 1 < len(net.layers):
                 nxt = net.layers[l + 1]
                 wbytes += nxt.weight_bytes() + nxt.bookkeeping_bytes()
             total = in_bytes + out_bytes + wbytes
@@ -534,7 +522,6 @@ def count_macs(net: NetworkSpec) -> dict:
 class MemoryBudget:
     l1_bytes: int = 65536
     l2_bytes: int = 524288
-    double_buffer_weights: bool = True
 
 
 def footprint(net: NetworkSpec, budget: MemoryBudget | None = None,
@@ -578,7 +565,7 @@ def footprint(net: NetworkSpec, budget: MemoryBudget | None = None,
         "weight_mode": weight_mode,
     }
     if plan is not None:
-        tiles = tile_working_sets(net, plan, budget.double_buffer_weights)
+        tiles = tile_working_sets(net, plan)
         tile_peak = max(t["peak_bytes"] for t in tiles)
         result["tiles"] = tiles
         result["tile_peak_bytes"] = tile_peak
@@ -595,146 +582,3 @@ def l1_tile_count(net: NetworkSpec, budget: MemoryBudget | None = None) -> int:
         if footprint(net, budget, plan_tiles(net, tiles))["fits_l1"]:
             return tiles
     return final_w
-
-
-# ---------------------------------------------------------------------------
-# benchmark harness
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BenchReport:
-    rows: list[dict] = field(default_factory=list)
-    comparisons: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def to_json_lines(self) -> str:
-        import json
-
-        lines = [json.dumps({"meta": self.meta})]
-        lines += [json.dumps(row) for row in self.rows]
-        for key, value in self.comparisons.items():
-            lines.append(json.dumps({"comparison": key, **value}))
-        return "\n".join(lines)
-
-    def to_text(self) -> str:
-        out = [f"{'Layer':<14} {'MACs':>12} {'Time [ms]':>10} {'MAC/s':>12}"]
-        for r in self.rows:
-            macs = f"{r['macs']:,}" if r["macs"] is not None else "-"
-            rate = f"{r['mac_per_s']:.3g}" if r["mac_per_s"] is not None else "-"
-            out.append(f"{r['row']:<14} {macs:>12} {r['time_s'] * 1e3:>10.2f} {rate:>12}")
-        for key, value in self.comparisons.items():
-            pretty = ", ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
-                               for k, v in value.items())
-            out.append(f"[{key}] {pretty}")
-        return "\n".join(out)
-
-
-def _median_time(fn, repetitions: int) -> float:
-    fn()  # warm-up, discarded
-    times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
-          threads: int = 1, popcount: str | None = None,
-          include_naive: bool = True, include_popcount_compare: bool = True) -> BenchReport:
-    """Per-layer timing report plus packed-vs-naive and popcount comparisons.
-
-    Layer rows time each layer single-threaded on its own cached input; the
-    Total row times one end-to-end frontend + run_monolithic at ``threads``.
-    Timing fields vary run to run; everything else (MACs, row structure) is
-    deterministic.  The naive comparison runs the triple-loop oracle once per
-    binary layer, so it dominates the wall time of the benchmark itself.
-    """
-    from .frontend import FrontendConfig, mel_spectrogram
-
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    cfg = frontend_cfg or FrontendConfig()
-    if audio is None:
-        rng = np.random.default_rng(0)
-        audio = (rng.uniform(-0.5, 0.5, cfg.patch_samples) * 32767).astype(np.int16)
-
-    mel_time = _median_time(lambda: mel_spectrogram(audio, cfg), repetitions)
-    x = mel_spectrogram(audio, cfg)
-    _check_input(x, net)
-
-    macs = count_macs(net)
-    names = net.layer_names()
-    inputs = [x]
-    for layer in net.layers[:-1]:
-        inputs.append(_run_layer(layer, inputs[-1], None, popcount))
-
-    rows = [{"row": "Mel bins", "group": "Mel bins", "macs": None,
-             "time_s": mel_time, "mac_per_s": None}]
-    for i, layer in enumerate(net.layers):
-        t = _median_time(
-            lambda layer=layer, xin=inputs[i]: _run_layer(layer, xin, None, popcount),
-            repetitions)
-        m = macs["layers"][i]["macs_same_pad"]
-        group = names[i]
-        if is_reference_topology(net) and i >= len(net.layers) - 2:
-            group = "5./6. Layer"  # last two layers are merged in firmware reports
-        rows.append({"row": names[i], "group": group, "macs": m,
-                     "time_s": t, "mac_per_s": m / t if t > 0 else None})
-
-    # The total is timed end to end at the requested thread count, not summed
-    # from the single-threaded layer rows.
-    total_macs = macs["total_same_pad"]
-    total_time = _median_time(
-        lambda: run_monolithic(mel_spectrogram(audio, cfg), net, threads, popcount),
-        repetitions)
-    rows.append({"row": "Total", "group": "Total", "macs": total_macs,
-                 "time_s": total_time,
-                 "mac_per_s": total_macs / total_time if total_time > 0 else None})
-
-    comparisons = {}
-    if include_naive:
-        for i, layer in enumerate(net.layers):
-            if layer.kind != BINARY_CONV:
-                continue
-            xin = inputs[i]
-            packed_t = _median_time(
-                lambda xin=xin, layer=layer: conv2d_binary(
-                    xin, layer.weights, layer.stride, popcount=popcount),
-                repetitions)
-            dense_in = unpack(xin)
-            dense_w = unpack_weights(layer.weights)
-            t0 = time.perf_counter()
-            oracle.naive_binary_conv(dense_in, dense_w, layer.stride)
-            naive_t = time.perf_counter() - t0
-            comparisons[f"packed_vs_naive/{names[i]}"] = {
-                "packed_s": packed_t, "naive_s": naive_t,
-                "speedup": naive_t / packed_t if packed_t > 0 else float("inf"),
-            }
-    if include_popcount_compare:
-        biggest = max(
-            (i for i, l in enumerate(net.layers) if l.kind == BINARY_CONV),
-            key=lambda i: macs["layers"][i]["macs_same_pad"],
-            default=None)
-        if biggest is not None:
-            layer = net.layers[biggest]
-            xin = inputs[biggest]
-            times = {}
-            for backend in ("native", "portable"):
-                try:
-                    times[backend] = _median_time(
-                        lambda b=backend, xin=xin, layer=layer: conv2d_binary(
-                            xin, layer.weights, layer.stride, popcount=b),
-                        repetitions)
-                except ValueError:
-                    times[backend] = None
-            comparisons["popcount_native_vs_portable"] = {
-                "layer": names[biggest],
-                "native_s": times["native"],
-                "portable_s": times["portable"],
-            }
-
-    meta = {"threads": threads, "repetitions": repetitions,
-            "popcount": resolve_popcount_name(popcount), "rows": len(rows)}
-    return BenchReport(rows=rows, comparisons=comparisons, meta=meta)

@@ -18,11 +18,13 @@ from .errors import InputFormatError
 from .tensors import FixedTensor, quantize_real
 
 PATCH_SECONDS = 3.2
+SAMPLE_RATE = 16000  # the only rate read_wav accepts; there is no resampling
+MAX_FFT_WINDOWS = 8  # fft_size cap, so a model file cannot ask for an unbounded spectrum
 
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    sample_rate: int = 16000
+    sample_rate: int = SAMPLE_RATE
     window: int = 512
     hop: int = 128
     fft_size: int = 512
@@ -37,14 +39,18 @@ class FrontendConfig:
     output_qformat: int = 10
 
     def __post_init__(self):
+        if self.sample_rate != SAMPLE_RATE:
+            raise ValueError(f"sample_rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
         if self.window != round(0.032 * self.sample_rate):
             raise ValueError("window must cover 32 ms")
         if self.hop != round(0.008 * self.sample_rate):
             raise ValueError("hop must cover 8 ms")
         if self.frames * self.hop != round(PATCH_SECONDS * self.sample_rate):
             raise ValueError("frames * hop must cover 3.2 s")
-        if self.fft_size < self.window:
-            raise ValueError("fft_size must be >= window")
+        if not self.window <= self.fft_size <= MAX_FFT_WINDOWS * self.window:
+            raise ValueError(f"fft_size must be in [window, {MAX_FFT_WINDOWS} * window] = "
+                             f"[{self.window}, {MAX_FFT_WINDOWS * self.window}], "
+                             f"got {self.fft_size}")
         if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
             raise ValueError("need 0 <= fmin < fmax <= Nyquist")
         if not 0.0 < self.log_floor < np.inf:
@@ -80,6 +86,7 @@ def _filterbank_cached(sample_rate, fft_size, mel_bins, fmin, fmax) -> np.ndarra
         rising = (bin_hz - left) / (center - left)
         falling = (right - bin_hz) / (right - center)
         fb[j] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False  # cached and shared by every caller
     return fb
 
 
@@ -88,7 +95,7 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
 
     Filter centers are equally spaced on the mel scale between fmin and fmax;
     each filter rises linearly (in Hz) from its left neighbor's center and
-    falls to its right neighbor's center.
+    falls to its right neighbor's center.  The array is cached and read-only.
     """
     return _filterbank_cached(cfg.sample_rate, cfg.fft_size, cfg.mel_bins, cfg.fmin, cfg.fmax)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,19 +75,16 @@ def popcount_portable(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 
 def resolve_popcount_name(kind: str | None = None) -> str:
-    """Resolve None/'auto' to the concrete backend name."""
+    """Resolve None/'auto' to the platform backend: the native instruction
+    where numpy has one, else the lookup table."""
     if kind is None or kind == "auto":
-        kind = os.environ.get("BINSED_POPCOUNT", "auto")
-    if kind == "auto":
         kind = "native" if _HAS_NATIVE else "portable"
     return kind
 
 
 def get_popcount(kind: str | None = None):
-    """Select a popcount backend: 'native', 'portable', or None/'auto'.
-
-    Auto prefers the native instruction; the BINSED_POPCOUNT environment
-    variable overrides the default.  Both backends are bit-identical.
+    """Select a popcount backend: 'native', 'portable', or None/'auto' for
+    the platform one.  Both backends are bit-identical.
     """
     kind = resolve_popcount_name(kind)
     if kind == "native":

@@ -454,6 +454,12 @@ def load(data: bytes) -> Model:
             wts = cur.array("<i2" if w_store == 16 else "<i4",
                             out_c * ky * kx * in_c).astype(np.int32)
             bias = cur.array("<i4", out_c).astype(np.int32)
+            # the fixed layer reads the network input, the final conv +-1 bits
+            in_qformat = in_q if kind == FIXED_CONV else 0
+            if bq != in_qformat + wq:
+                raise TruncatedError(
+                    f"layer {index}: bias_qformat {bq} is not the input qformat "
+                    f"{in_qformat} plus weights_qformat {wq}")
             params = FixedConvParams(wts.reshape(out_c, ky, kx, in_c), wq,
                                      bias, bq, shift, out_bw)
             # overflow possibility is a load-time check, not a per-element one
@@ -467,7 +473,7 @@ def load(data: bytes) -> Model:
     cur.done()
     try:
         net = NetworkSpec(tuple(layers), (h, w, c), in_q, classes)
-    except ValueError as e:  # channel chain, last layer kind, class count
+    except ValueError as e:  # layer kind order, channel chain, class count
         raise TruncatedError(f"network: {e}") from e
     return Model(net, cfg)
 
@@ -602,20 +608,28 @@ def save_float_model(fm: FloatModel, path) -> None:
 def load_float_model(path) -> FloatModel:
     try:
         archive = np.load(path)
-        meta = json.loads(str(archive["meta"]))
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, ValueError) as e:
         raise InputFormatError(f"not a float model archive: {e}") from e
-    layers = []
-    for i, row in enumerate(meta["layers"]):
-        def grab(name, optional=True):
-            key = f"layer{i}_{name}"
-            if key in archive:
-                return archive[key]
-            if optional:
-                return None
-            raise InputFormatError(f"float model archive missing {key}")
-        layers.append(FloatLayer(row["kind"], tuple(row["kernel"]),
-                                 row["in_channels"], row["out_channels"], row["stride"],
-                                 grab("weights", optional=False), grab("bias"),
-                                 grab("gamma"), grab("beta"), grab("mu"), grab("sigma")))
-    return FloatModel(tuple(layers), tuple(meta["input_shape"]), meta["classes"])
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise InputFormatError(f"not a float model archive: {path} holds a single "
+                               "array, not an .npz archive")
+
+    def grab(key, optional=True):
+        if key in archive:
+            return archive[key]
+        if optional:
+            return None
+        raise InputFormatError(f"float model archive missing {key}")
+
+    try:
+        meta = json.loads(str(grab("meta", optional=False)))
+        layers = tuple(
+            FloatLayer(row["kind"], tuple(row["kernel"]), row["in_channels"],
+                       row["out_channels"], row["stride"],
+                       grab(f"layer{i}_weights", optional=False),
+                       *(grab(f"layer{i}_{name}")
+                         for name in ("bias", "gamma", "beta", "mu", "sigma")))
+            for i, row in enumerate(meta["layers"]))
+        return FloatModel(layers, tuple(meta["input_shape"]), meta["classes"])
+    except (KeyError, TypeError, ValueError) as e:  # meta lacks an entry or is not JSON
+        raise InputFormatError(f"not a float model archive: bad meta entry {e}") from e

@@ -4,7 +4,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from binsed import FixedTensor, FrontendConfig, gen_random_model
+from binsed import BnFold, FixedTensor, FrontendConfig, LayerSpec, gen_random_model, pack_weights
+from binsed.executor import BINARY_CONV
 
 
 @pytest.fixture(scope="session")
@@ -25,15 +26,41 @@ def random_mel_input(rng, cfg=None) -> FixedTensor:
                        cfg.output_qformat, 16)
 
 
-def with_output_shift(model, layer_index: int, shift: int):
-    """A copy of a model whose fixed-point layer has another output shift."""
+def with_fixed_fields(model, layer_index: int, **fields):
+    """A copy of a model whose fixed-point layer has the given parameter fields."""
     net = model.network
     layers = list(net.layers)
     layer = layers[layer_index]
     layers[layer_index] = dataclasses.replace(
-        layer, fixed=dataclasses.replace(layer.fixed, output_shift=shift))
+        layer, fixed=dataclasses.replace(layer.fixed, **fields))
     return dataclasses.replace(
         model, network=dataclasses.replace(net, layers=tuple(layers)))
+
+
+def with_output_shift(model, layer_index: int, shift: int):
+    """A copy of a model whose fixed-point layer has another output shift."""
+    return with_fixed_fields(model, layer_index, output_shift=shift)
+
+
+def binary_first_layers(model) -> tuple:
+    """The model's layers with its fixed-point first layer swapped for a
+    binary conv of the same shape: a channel chain that adds up, in a kind
+    order the executor cannot run."""
+    first = model.network.layers[0]
+    out_c, (ky, kx), in_c = first.out_channels, first.kernel, first.in_channels
+    binary = LayerSpec(BINARY_CONV, first.kernel, in_c, out_c, first.stride,
+                       weights=pack_weights(np.ones((out_c, ky, kx, in_c), dtype=np.int8)),
+                       fold=BnFold(np.ones(out_c, dtype=np.int32),
+                                   np.zeros(out_c, dtype=np.int32)))
+    return (binary,) + model.network.layers[1:]
+
+
+def with_layers(model, layers):
+    """A copy of a model whose network holds the given layers, even in an
+    order NetworkSpec itself refuses (as a model written elsewhere may)."""
+    net = copy.copy(model.network)
+    object.__setattr__(net, "layers", tuple(layers))
+    return dataclasses.replace(model, network=net)
 
 
 def with_frontend_fields(model, **fields):

@@ -10,7 +10,12 @@ from binsed.cli import chunk_audio, main, read_wav
 from binsed.errors import InputFormatError
 from binsed.model_io import Model
 from binsed.executor import NetworkSpec
-from tests.conftest import with_frontend_fields, with_output_shift
+from tests.conftest import (
+    binary_first_layers,
+    with_frontend_fields,
+    with_layers,
+    with_output_shift,
+)
 
 
 def write_wav(path, samples, rate=16000, channels=1, width=2):
@@ -236,13 +241,38 @@ def test_output_shift_beyond_range_exits_3(workdir, reference_model, capsys):
     ({"window": 400}, "frontend config: window must cover 32 ms"),
     ({"output_qformat": 11}, "network input_qformat 10 does not match frontend "
                              "output_qformat 11"),
-], ids=["window", "qformat"])
+    ({"fft_size": 10 ** 9}, "frontend config: fft_size must be in [window, 8 * window]"),
+    ({"sample_rate": 48000, "window": 1536, "hop": 384, "fft_size": 2048},
+     "frontend config: sample_rate must be 16000 Hz"),
+], ids=["window", "qformat", "fft_size", "sample_rate"])
 def test_inconsistent_frontend_exits_3(workdir, reference_model, capsys, fields, message):
     path = workdir / "frontend.bsed"
     path.write_bytes(save(with_frontend_fields(reference_model, **fields)))
     assert main(["infer", "--model", str(path),
                  "--wav", str(workdir / "silence.wav")]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_layer_kind_order_exits_3(workdir, reference_model, capsys):
+    path = workdir / "binary_first.bsed"
+    path.write_bytes(save(with_layers(reference_model, binary_first_layers(reference_model))))
+    assert main(["infer", "--model", str(path),
+                 "--wav", str(workdir / "silence.wav")]) == 3
+    assert "network: layer kinds must run fixed_conv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["no_layers.npz", "one_array.npy"])
+def test_malformed_float_archive_exits_2(workdir, capsys, name):
+    path = workdir / name
+    if name.endswith(".npz"):
+        np.savez(path, meta=np.array(json.dumps({"input_shape": [64, 400, 1],
+                                                 "classes": 28})))
+    else:
+        np.save(path, np.zeros(3))
+    assert main(["quantize", "--float", str(path),
+                 "--out", str(workdir / "never.bsed")]) == 2
+    assert "not a float model archive" in capsys.readouterr().err
+    assert not (workdir / "never.bsed").exists()
 
 
 def test_shape_mismatch_exits_3(workdir, reference_model, capsys):

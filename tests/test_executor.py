@@ -32,11 +32,12 @@ from binsed.executor import (
     _backward_intervals,
     l1_tile_count,
 )
+from binsed import kernels
 from binsed.kernels import BLOCK_BYTES, BnFold, rounding_shift
 from binsed.model_io import gen_random_float_model, quantize_model
 from binsed.oracle import reference_network_run
 from binsed.tensors import FixedTensor, pack_weights
-from tests.conftest import random_mel_input
+from tests.conftest import binary_first_layers, random_mel_input
 
 
 def test_shape_chain(reference_model):
@@ -55,13 +56,15 @@ def test_halo_is_twenty(reference_model):
     assert receptive_field_halo(reference_model.network) == 20
 
 
-def test_monolithic_deterministic(reference_model):
+def test_monolithic_deterministic(reference_model, monkeypatch):
     rng = np.random.default_rng(0)
     x = random_mel_input(rng)
     a = run_monolithic(x, reference_model.network)
     b = run_monolithic(x, reference_model.network)
     c = run_monolithic(x, reference_model.network, threads=8)
-    d = run_monolithic(x, reference_model.network, popcount="portable")
+    # a numpy without np.bitwise_count runs the lookup-table popcount
+    monkeypatch.setattr(kernels, "_HAS_NATIVE", False)
+    d = run_monolithic(x, reference_model.network)
     assert (a.scores == b.scores).all()
     assert (a.scores == c.scores).all()
     assert (a.scores == d.scores).all()
@@ -79,6 +82,28 @@ def test_input_qformat_rejected(reference_model):
     bad = FixedTensor(64, 400, 1, np.zeros((64, 400, 1), dtype=np.int32), 9, 16)
     with pytest.raises(ShapeMismatchError, match="qformat"):
         run_monolithic(bad, reference_model.network)
+
+
+KIND_ORDER = "layer kinds must run fixed_conv, any number of binary_conv, then final_conv"
+
+
+def test_binary_first_layer_rejected(reference_model):
+    net = reference_model.network
+    with pytest.raises(ValueError, match=KIND_ORDER + "; got binary_conv, binary_conv"):
+        NetworkSpec(binary_first_layers(reference_model), net.input_shape,
+                    net.input_qformat, net.classes)
+
+
+@pytest.mark.parametrize("table", [
+    ((BINARY_CONV, 3, 3, 16, 1), (FINAL_CONV, 1, 1, 4, 1)),
+    ((FIXED_CONV, 3, 3, 16, 1), (FIXED_CONV, 3, 3, 16, 1), (FINAL_CONV, 1, 1, 4, 1)),
+    ((FIXED_CONV, 3, 3, 16, 1), (FINAL_CONV, 1, 1, 16, 1), (FINAL_CONV, 1, 1, 4, 1)),
+    ((FINAL_CONV, 1, 1, 4, 1),),
+], ids=["binary_first", "fixed_twice", "final_twice", "final_only"])
+def test_layer_kind_order_rejected(table):
+    fm = gen_random_float_model(1, table=table, input_shape=(3, 20, 1), classes=4)
+    with pytest.raises(ValueError, match=KIND_ORDER):
+        quantize_model(fm)
 
 
 def test_matches_naive_oracle_network():
@@ -356,8 +381,7 @@ def test_footprint_with_plan(reference_model):
 
 def test_bench_structure(reference_model):
     report = bench(reference_model.network, reference_model.frontend,
-                   repetitions=1, include_naive=False,
-                   include_popcount_compare=False)
+                   repetitions=1, include_naive=False)
     rows = report.rows
     assert len(rows) == 9  # Mel bins + 7 layers + Total
     assert rows[0]["row"] == "Mel bins" and rows[0]["macs"] is None
@@ -374,9 +398,9 @@ def test_bench_structure(reference_model):
 
 def test_bench_macs_deterministic(reference_model):
     a = bench(reference_model.network, reference_model.frontend, repetitions=1,
-              include_naive=False, include_popcount_compare=False)
+              include_naive=False)
     b = bench(reference_model.network, reference_model.frontend, repetitions=1,
-              include_naive=False, include_popcount_compare=False)
+              include_naive=False)
     assert [r["macs"] for r in a.rows] == [r["macs"] for r in b.rows]
 
 

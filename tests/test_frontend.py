@@ -38,10 +38,31 @@ def test_config_validation():
         FrontendConfig(fmin=9000.0)
 
 
+def test_fft_size_at_most_eight_windows():
+    assert FrontendConfig(fft_size=4096).spectrum_bins == 2049
+    with pytest.raises(ValueError, match="fft_size must be in .* = \\[512, 4096\\], got 4097"):
+        FrontendConfig(fft_size=4097)
+    with pytest.raises(ValueError, match="got 511"):
+        FrontendConfig(fft_size=511)
+
+
+def test_sample_rate_must_be_16k():
+    # consistent 32 ms / 8 ms / 3.2 s timing at 48 kHz, which read_wav never yields
+    with pytest.raises(ValueError, match="sample_rate must be 16000 Hz, got 48000"):
+        FrontendConfig(sample_rate=48000, window=1536, hop=384, fft_size=2048)
+
+
 @pytest.mark.parametrize("floor", [0.0, -1e-10, math.nan, math.inf])
 def test_log_floor_must_be_finite_positive(floor):
     with pytest.raises(ValueError, match="log_floor must be a finite number > 0"):
         FrontendConfig(log_floor=floor)
+
+
+def test_filterbank_is_shared_and_read_only(frontend_cfg):
+    fb = mel_filterbank(frontend_cfg)
+    assert fb is mel_filterbank(frontend_cfg)
+    with pytest.raises(ValueError, match="read-only"):
+        fb[0, 0] = 1.0
 
 
 def test_filterbank_shape_and_positivity(frontend_cfg):

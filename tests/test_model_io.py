@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -19,6 +20,7 @@ from binsed import (
 from binsed.errors import (
     BadMagicError,
     CrcError,
+    InputFormatError,
     ModelFormatError,
     TrailingDataError,
     TruncatedError,
@@ -31,7 +33,14 @@ from binsed.model_io import (
     quantize_model,
     save_float_model,
 )
-from tests.conftest import random_mel_input, with_frontend_fields, with_output_shift
+from tests.conftest import (
+    binary_first_layers,
+    random_mel_input,
+    with_fixed_fields,
+    with_frontend_fields,
+    with_layers,
+    with_output_shift,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +231,10 @@ def test_output_shift_at_exact_limit_loads(reference_model):
     ({"window": 400}, "frontend config: window must cover 32 ms"),
     ({"log_floor": 0.0}, "frontend config: log_floor must be a finite number > 0"),
     ({"log_floor": -1e-10}, "frontend config: log_floor must be a finite number > 0"),
-], ids=["window", "zero_log_floor", "negative_log_floor"])
+    ({"sample_rate": 48000, "window": 1536, "hop": 384, "fft_size": 2048},
+     "frontend config: sample_rate must be 16000 Hz, got 48000"),
+    ({"fft_size": 4097}, r"frontend config: fft_size must be in \[window, 8 \* window\]"),
+], ids=["window", "zero_log_floor", "negative_log_floor", "sample_rate", "fft_size"])
 def test_invalid_frontend_config_rejected_at_load(reference_model, fields, message):
     blob = save(with_frontend_fields(reference_model, **fields))
     with pytest.raises(ModelFormatError, match=message):
@@ -251,6 +263,35 @@ def with_payload_bytes(blob: bytes, offset: int, value: bytes) -> bytes:
     data[12 + offset:12 + offset + len(value)] = value
     data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[12:-4])))
     return bytes(data)
+
+
+def test_huge_fft_size_rejected_at_load(reference_model):
+    # fft_size is the frontend block's fourth u32; a mel_spectrogram of this
+    # size would ask for a (400, 500000001) complex array
+    blob = with_payload_bytes(save(reference_model), 12, struct.pack("<I", 10 ** 9))
+    with pytest.raises(TruncatedError, match=r"frontend config: fft_size must be in "
+                                             r"\[window, 8 \* window\] = \[512, 4096\], "
+                                             r"got 1000000000"):
+        load(blob)
+
+
+@pytest.mark.parametrize("layer_index, input_qformat", [(0, 10), (6, 0)])
+def test_bias_qformat_off_accumulator_scale_rejected_at_load(reference_model, layer_index,
+                                                            input_qformat):
+    wq = reference_model.network.layers[layer_index].fixed.weights_qformat
+    wrong = input_qformat + wq + (1 if layer_index == 0 else 10)
+    blob = save(with_fixed_fields(reference_model, layer_index, bias_qformat=wrong))
+    with pytest.raises(TruncatedError,
+                       match=rf"layer {layer_index}: bias_qformat {wrong} is not the input "
+                             rf"qformat {input_qformat} plus weights_qformat {wq}$"):
+        load(blob)
+
+
+def test_layer_kind_order_rejected_at_load(reference_model):
+    blob = save(with_layers(reference_model, binary_first_layers(reference_model)))
+    with pytest.raises(TruncatedError, match="network: layer kinds must run fixed_conv, "
+                                             "any number of binary_conv, then final_conv"):
+        load(blob)
 
 
 def test_patch_shape_mismatch_rejected_at_load(reference_model):
@@ -377,6 +418,20 @@ def test_float_model_archive_roundtrip(tmp_path):
     save_float_model(fm, path)
     back = load_float_model(path)
     assert save(quantize_model(back)) == save(quantize_model(fm))
+
+
+def test_float_archive_without_layers_rejected(tmp_path):
+    path = tmp_path / "fm.npz"
+    np.savez(path, meta=np.array(json.dumps({"input_shape": [64, 400, 1], "classes": 28})))
+    with pytest.raises(InputFormatError, match="bad meta entry 'layers'"):
+        load_float_model(path)
+
+
+def test_single_array_file_rejected_as_float_archive(tmp_path):
+    path = tmp_path / "fm.npy"
+    np.save(path, np.zeros(3))
+    with pytest.raises(InputFormatError, match="holds a single array, not an .npz archive"):
+        load_float_model(path)
 
 
 def test_network_spec_json(reference_model):
