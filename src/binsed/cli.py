@@ -2,9 +2,10 @@
 quantization, model generation, footprint and benchmark reports.
 
 Exit codes: 0 success, 2 input format, 3 corrupt model, 4 shape mismatch,
-5 memory budget exceeded (footprint --strict).  Timing fields go to stderr so
-stdout stays byte-identical across runs with the same inputs and flags
-(benchmark timing output excepted).
+5 memory budget exceeded (footprint --strict).  Timing fields and the
+frontend's saturation count (feature values clipped to the 16-bit range) go
+to stderr so stdout stays byte-identical across runs with the same inputs and
+flags (benchmark timing output excepted).
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def cmd_extract(args) -> int:
     with open(args.out, "wb") as f:
         f.write(model_io.save_features(patches, cfg))
     print(f"wrote {len(patches)} patch(es) to {args.out}")
+    print(f"saturated {sum(p.saturated for p in patches)} feature values",
+          file=sys.stderr)
     return 0
 
 
@@ -122,8 +125,8 @@ def cmd_infer(args) -> int:
     else:
         print(f"prediction: {result.prediction}")
         print("scores:", " ".join(str(int(s)) for s in result.scores))
-    print(f"time: frontend {t_frontend:.4f}s, network {t_network:.4f}s",
-          file=sys.stderr)
+    print(f"time: frontend {t_frontend:.4f}s, network {t_network:.4f}s, "
+          f"saturated {x.saturated}", file=sys.stderr)
     return 0
 
 

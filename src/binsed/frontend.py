@@ -20,6 +20,8 @@ from .tensors import FixedTensor, quantize_real
 PATCH_SECONDS = 3.2
 SAMPLE_RATE = 16000  # the only rate read_wav accepts; there is no resampling
 MAX_FFT_WINDOWS = 8  # fft_size cap, so a model file cannot ask for an unbounded spectrum
+# Complex spectrum of one STFT block: 63 frames at fft_size 512, 7 at 4096.
+STFT_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,11 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return _filterbank_cached(cfg.sample_rate, cfg.fft_size, cfg.mel_bins, cfg.fmin, cfg.fmax)
 
 
+def stft_block_frames(cfg: FrontendConfig) -> int:
+    """Frames per STFT block: as many complex spectra as fit STFT_BLOCK_BYTES."""
+    return max(1, STFT_BLOCK_BYTES // (16 * cfg.spectrum_bins))
+
+
 @lru_cache(maxsize=8)
 def _hann(n: int) -> np.ndarray:
     # Periodic Hann, the STFT-analysis variant; cached, so read-only.
@@ -108,18 +115,42 @@ def _hann(n: int) -> np.ndarray:
     return w
 
 
-def _as_float_audio(audio) -> np.ndarray:
+def _padded_audio(audio, cfg: FrontendConfig) -> np.ndarray:
+    """Float64 patch, zero-padded to 3.2 s, with ``window // 2`` samples of
+    reflect padding on each side, built in one buffer.
+
+    int16 PCM is scaled by 2**-15 once, straight into the buffer (exact, and
+    the same as dividing by 32768).  Float samples must be finite.
+    """
     a = np.asarray(audio)
     if a.ndim != 1:
         raise ValueError(f"expected mono audio, got ndim={a.ndim}")
+    total = cfg.patch_samples
+    if len(a) > total:
+        raise ValueError(f"audio has {len(a)} samples, patch limit is {total}")
+    half = cfg.window // 2
+    padded = np.zeros(total + 2 * half)
+    body = padded[half:half + len(a)]
     if a.dtype == np.int16:
-        return a.astype(np.float64) / 32768.0
-    a = a.astype(np.float64)
-    finite = np.isfinite(a)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise InputFormatError(f"audio sample {i} is {a[i]}, not a finite number")
-    return a
+        np.multiply(a, 1.0 / 32768.0, out=body, dtype=np.float64)
+    else:
+        body[:] = a
+        finite = np.isfinite(body)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise InputFormatError(f"audio sample {i} is {body[i]}, not a finite number")
+    # reflect about the first and last samples of the zero-padded patch
+    padded[:half] = padded[2 * half:half:-1]
+    padded[half + total:] = padded[half + total - 2:total - 2:-1]
+    return padded
+
+
+def _block_power(frames: np.ndarray, fft_size: int, out: np.ndarray) -> None:
+    # the block's windowed frames and complex spectrum die on return
+    spectrum = np.fft.rfft(frames * _hann(frames.shape[1]), n=fft_size, axis=1)
+    np.square(spectrum.real, out=out)
+    imag = spectrum.imag
+    out += np.square(imag, out=imag)
 
 
 def stft_power(audio, cfg: FrontendConfig) -> np.ndarray:
@@ -129,20 +160,20 @@ def stft_power(audio, cfg: FrontendConfig) -> np.ndarray:
     than 3.2 s is zero-padded on the right; longer audio is rejected (chunking
     is the caller's job).  Frame t covers ``window`` samples centered at
     t*hop, with reflect padding at the edges.
+
+    Two arrays live for the whole call: the padded audio and the
+    [frames][bins] power buffer, returned transposed.  Frames are strided
+    views of the padded audio; they are windowed, transformed and squared
+    ``stft_block_frames(cfg)`` at a time, so the only other copies are one
+    block's windowed frames and its complex spectrum.  Each frame's
+    arithmetic does not depend on the block it falls in.
     """
-    a = _as_float_audio(audio)
-    total = cfg.patch_samples
-    if len(a) > total:
-        raise ValueError(f"audio has {len(a)} samples, patch limit is {total}")
-    if len(a) < total:
-        a = np.pad(a, (0, total - len(a)))
-    half = cfg.window // 2
-    padded = np.pad(a, (half, half), mode="reflect")
-    # a strided view; the window multiply makes the only frame copy
+    padded = _padded_audio(audio, cfg)
     frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.window)[::cfg.hop][:cfg.frames]
-    spectra = np.fft.rfft(frames * _hann(cfg.window), n=cfg.fft_size, axis=1)
-    power = spectra.real ** 2
-    power += spectra.imag ** 2
+    power = np.empty((cfg.frames, cfg.spectrum_bins))
+    step = stft_block_frames(cfg)
+    for start in range(0, cfg.frames, step):
+        _block_power(frames[start:start + step], cfg.fft_size, power[start:start + step])
     return power.T
 
 
@@ -152,6 +183,7 @@ def mel_spectrogram(audio, cfg: FrontendConfig | None = None) -> FixedTensor:
     power = stft_power(audio, cfg)
     with single_thread():
         mel = mel_filterbank(cfg) @ power
+    del power  # free the spectrogram before quantization's temporaries
     if cfg.log_compress:
         np.log(np.maximum(mel, cfg.log_floor, out=mel), out=mel)
     return quantize_real(mel[:, :, None], cfg.output_qformat, bitwidth=16)

@@ -328,11 +328,13 @@ _FIXED_FMT = "<7B1x"  # 8 bytes
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
+    """Reads a payload through a memoryview; ``take`` returns views, not copies."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedError(
                 f"payload ends at byte {len(self.data)}, needed {self.pos + n}")
@@ -343,9 +345,11 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, dtype: str, count: int) -> np.ndarray:
+    def array(self, dtype: str, count: int, as_type=np.int32) -> np.ndarray:
+        """count stored ``dtype`` values, converted to a new ``as_type`` array
+        in one copy."""
         raw = self.take(count * np.dtype(dtype).itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        return np.frombuffer(raw, dtype=dtype).astype(as_type)
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -375,8 +379,8 @@ def _pack_fold(fold: BnFold) -> bytes:
 
 
 def _unpack_fold(cur: _Cursor, index: int, channels: int) -> BnFold:
-    polarity = cur.array("<i1", channels).astype(np.int32)
-    threshold = cur.array("<i4", channels).astype(np.int32)
+    polarity = cur.array("<i1", channels)
+    threshold = cur.array("<i4", channels)
     try:
         return BnFold(polarity, threshold)
     except ValueError as e:  # a polarity other than -1 or +1
@@ -395,7 +399,7 @@ def save(model: Model) -> bytes:
         parts.append(struct.pack(_LAYER_FMT, _KIND_CODES[layer.kind], ky, kx,
                                  layer.stride, layer.in_channels, layer.out_channels))
         if layer.kind == BINARY_CONV:
-            parts.append(layer.weights.words.astype("<u4").tobytes())
+            parts.append(np.ascontiguousarray(layer.weights.words, "<u4"))
             parts.append(_pack_fold(layer.fold))
         else:
             p = layer.fixed
@@ -406,13 +410,11 @@ def save(model: Model) -> bytes:
             parts.append(struct.pack(_FIXED_FMT, p.weights_qformat, p.bias_qformat,
                                      p.output_shift, p.output_bitwidth, has_fold,
                                      w_store, 0))
-            parts.append(p.weights.astype("<i2" if w_store == 16 else "<i4").tobytes())
-            parts.append(p.bias.astype("<i4").tobytes())
+            parts.append(np.ascontiguousarray(p.weights, "<i2" if w_store == 16 else "<i4"))
+            parts.append(np.ascontiguousarray(p.bias, "<i4"))
             if layer.fold is not None:
                 parts.append(_pack_fold(layer.fold))
-    payload = b"".join(parts)
-    header = MODEL_MAGIC + struct.pack("<HHI", FORMAT_VERSION, 0, len(payload))
-    return header + payload + struct.pack("<I", zlib.crc32(payload))
+    return _container(MODEL_MAGIC, parts)
 
 
 def load(data: bytes) -> Model:
@@ -434,7 +436,7 @@ def load(data: bytes) -> Model:
             raise TruncatedError(f"unknown layer kind code {code}")
         kind = _KIND_NAMES[code]
         if kind == BINARY_CONV:
-            words = cur.array("<u4", out_c * ky * kx * words_per_pixel(in_c))
+            words = cur.array("<u4", out_c * ky * kx * words_per_pixel(in_c), np.uint32)
             packed = PackedBinaryWeights(
                 out_c, in_c, ky, kx,
                 words.reshape(out_c, ky, kx, words_per_pixel(in_c)))
@@ -451,9 +453,8 @@ def load(data: bytes) -> Model:
             if out_bw not in (16, 32):
                 raise TruncatedError(f"layer {index}: output_bitwidth {out_bw} "
                                       "is not 16 or 32")
-            wts = cur.array("<i2" if w_store == 16 else "<i4",
-                            out_c * ky * kx * in_c).astype(np.int32)
-            bias = cur.array("<i4", out_c).astype(np.int32)
+            wts = cur.array("<i2" if w_store == 16 else "<i4", out_c * ky * kx * in_c)
+            bias = cur.array("<i4", out_c)
             # the fixed layer reads the network input, the final conv +-1 bits
             in_qformat = in_q if kind == FIXED_CONV else 0
             if bq != in_qformat + wq:
@@ -486,11 +487,25 @@ def _layer(index: int, *args, **kwargs) -> LayerSpec:
         raise TruncatedError(f"layer {index}: {e}") from e
 
 
-def _check_container(data: bytes, magic: bytes) -> bytes:
+def _container(magic: bytes, parts) -> bytes:
+    """One container: magic, version, payload length, the parts (bytes or
+    C-contiguous arrays, written as they are laid out) and the payload CRC,
+    joined in one copy."""
+    views = [memoryview(part).cast("B") for part in parts]
+    crc = 0
+    for view in views:
+        crc = zlib.crc32(view, crc)
+    header = magic + struct.pack("<HHI", FORMAT_VERSION, 0, sum(map(len, views)))
+    return b"".join([header, *views, struct.pack("<I", crc)])
+
+
+def _check_container(data: bytes, magic: bytes) -> memoryview:
+    """The payload of a checked container, as a view into ``data``."""
+    data = memoryview(data).cast("B")
     if len(data) < 12:
         raise TruncatedError(f"container is {len(data)} bytes, header needs 12")
     if data[:4] != magic:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {magic!r}")
+        raise BadMagicError(f"bad magic {bytes(data[:4])!r}, expected {magic!r}")
     version, _reserved, payload_len = struct.unpack("<HHI", data[4:12])
     if version != FORMAT_VERSION:
         raise VersionError(f"format version {version}, this build reads {FORMAT_VERSION}")
@@ -557,10 +572,8 @@ def save_features(patches, cfg: FrontendConfig) -> bytes:
     for p in patches:
         if p.shape != first.shape or p.qformat != first.qformat:
             raise ValueError("all patches in one file must share shape and qformat")
-        parts.append(p.values.astype("<i2").tobytes())
-    payload = b"".join(parts)
-    header = FEATURE_MAGIC + struct.pack("<HHI", FORMAT_VERSION, 0, len(payload))
-    return header + payload + struct.pack("<I", zlib.crc32(payload))
+        parts.append(np.ascontiguousarray(p.values, "<i2"))
+    return _container(FEATURE_MAGIC, parts)
 
 
 def load_features(data: bytes):
@@ -575,7 +588,7 @@ def load_features(data: bytes):
         raise TruncatedError(f"feature bitwidth {bitwidth} is not 16 or 32")
     patches = []
     for _ in range(count):
-        vals = cur.array("<i2", h * w * c).astype(np.int32).reshape(h, w, c)
+        vals = cur.array("<i2", h * w * c).reshape(h, w, c)
         patches.append(FixedTensor(h, w, c, vals, qformat, bitwidth))
     cur.done()
     return patches, cfg

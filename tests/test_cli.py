@@ -1,11 +1,21 @@
+import functools
 import json
 import logging
+import re
 import wave
 
 import numpy as np
 import pytest
 
-from binsed import load_features, mel_spectrogram, save, save_file
+from binsed import (
+    FrontendConfig,
+    frontend,
+    gen_random_model,
+    load_features,
+    mel_spectrogram,
+    save,
+    save_file,
+)
 from binsed.cli import chunk_audio, main, read_wav
 from binsed.errors import InputFormatError
 from binsed.model_io import Model
@@ -121,6 +131,41 @@ def test_infer_deterministic_stdout(workdir, capsys):
     payload = json.loads(first)
     assert 0 <= payload["prediction"] < 28
     assert len(payload["scores"]) == 28
+
+
+def test_infer_reports_saturation_on_stderr(workdir, capsys):
+    argv = ["infer", "--model", str(workdir / "model.bsed"),
+            "--wav", str(workdir / "silence.wav")]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"time: frontend \d+\.\d{4}s, network \d+\.\d{4}s, "
+                        r"saturated 0\n", err)
+    assert re.fullmatch(r"prediction: \d+\nscores:( -?\d+){28}\n", out)
+    # At Q11 the features span +-16, so silence's log floor, ln(1e-10) =
+    # -23.0, clips in every one of the 64 x 400 values.  Stdout is unchanged.
+    save_file(gen_random_model(1, FrontendConfig(output_qformat=11)), workdir / "q11.bsed")
+    assert main(["infer", "--model", str(workdir / "q11.bsed"),
+                 "--wav", str(workdir / "silence.wav")]) == 0
+    out_q11, err = capsys.readouterr()
+    assert err.endswith(", saturated 25600\n")
+    assert re.fullmatch(r"prediction: \d+\nscores:( -?\d+){28}\n", out_q11)
+
+
+def test_extract_reports_saturation_total_on_stderr(workdir, capsys, monkeypatch):
+    out = workdir / "sat.bft"
+    argv = ["extract", "--wav", str(workdir / "ten_sec.wav"), "--out", str(out),
+            "--all-chunks"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == (f"wrote 3 patch(es) to {out}\n",
+                                   "saturated 0 feature values\n")
+    # 3 silent patches at Q11: every value clips (see the infer test above)
+    monkeypatch.setattr(frontend, "FrontendConfig",
+                        functools.partial(FrontendConfig, output_qformat=11))
+    assert main(argv) == 0
+    assert capsys.readouterr() == (f"wrote 3 patch(es) to {out}\n",
+                                   "saturated 76800 feature values\n")
+    patches, _ = load_features(out.read_bytes())
+    assert [p.qformat for p in patches] == [11, 11, 11]
 
 
 def test_infer_tiled_matches_monolithic(workdir, capsys):

@@ -15,7 +15,7 @@ from binsed import (
     stft_power,
 )
 from binsed.errors import InputFormatError
-from binsed.frontend import _hann
+from binsed.frontend import STFT_BLOCK_BYTES, _hann, stft_block_frames
 from binsed.oracle import direct_dft
 
 
@@ -156,9 +156,10 @@ def gather_power(audio, cfg):
 
 @settings(max_examples=40, deadline=None)
 @given(length=st.integers(1, 51200), pcm=st.booleans(),
-       fft_size=st.integers(512, 1024), seed=st.integers(0, 2 ** 32 - 1))
+       fft_size=st.integers(512, 4096), seed=st.integers(0, 2 ** 32 - 1))
 @example(length=1, pcm=True, fft_size=512, seed=0)
 @example(length=51200, pcm=False, fft_size=512, seed=0)
+@example(length=51200, pcm=True, fft_size=4096, seed=1)
 def test_stft_power_equals_index_gather(length, pcm, fft_size, seed):
     cfg = FrontendConfig(fft_size=fft_size)
     rng = np.random.default_rng(seed)
@@ -173,9 +174,8 @@ def test_stft_power_equals_index_gather(length, pcm, fft_size, seed):
 
 
 def test_mel_spectrogram_peak_memory(frontend_cfg):
-    # The windowed frames are the only frame copy; with the complex spectrum
-    # and the power spectrum they are the large arrays, and nothing else of
-    # their size may be alive at the peak.
+    # The padded audio and the power buffer live through the STFT; besides
+    # them only one block's windowed frames and complex spectrum may be alive.
     cfg = frontend_cfg
     audio = (np.random.default_rng(5).uniform(-0.5, 0.5, 51200) * 32767).astype(np.int16)
     mel_spectrogram(audio, cfg)  # warm-up: window and filterbank caches
@@ -187,8 +187,20 @@ def test_mel_spectrogram_peak_memory(frontend_cfg):
     finally:
         tracemalloc.stop()
     bins = cfg.spectrum_bins
-    bound = cfg.frames * (cfg.window * 8 + bins * 16 + bins * 8) + 512 * 1024
+    power = cfg.frames * bins * 8
+    padded = (cfg.patch_samples + cfg.window) * 8
+    block = stft_block_frames(cfg) * (cfg.window * 8 + bins * 16)
+    bound = power + padded + block + 256 * 1024
+    assert bound <= 2 * 2 ** 20
     assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
+
+
+def test_stft_blocks_are_byte_sized():
+    assert stft_block_frames(FrontendConfig()) == 63
+    assert stft_block_frames(FrontendConfig(fft_size=4096)) == 7
+    for fft_size in (512, 1000, 4096):
+        cfg = FrontendConfig(fft_size=fft_size)
+        assert stft_block_frames(cfg) * cfg.spectrum_bins * 16 <= STFT_BLOCK_BYTES
 
 
 def test_stft_matches_direct_dft(frontend_cfg):

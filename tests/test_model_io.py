@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -189,7 +191,7 @@ def test_truncation_detected(reference_model):
 
 def test_bad_magic_detected(reference_model):
     blob = save(reference_model)
-    with pytest.raises(BadMagicError):
+    with pytest.raises(BadMagicError, match=r"bad magic b'XXXX', expected b'BSED'"):
         load(b"XXXX" + blob[4:])
 
 
@@ -379,6 +381,12 @@ def test_gen_model_matches_reference_footprint(reference_model):
     assert report["weight_bytes"] == 58176
 
 
+def test_saved_model_bytes_are_pinned(reference_model):
+    # the seed-1 model file must keep its bytes: the format is byte-stable
+    assert hashlib.sha256(save(reference_model)).hexdigest() == \
+        "394af2fdde442705bbd01aa3f25e8feb8aa72b7428aff4f23ff6a98dfe5e2cb9"
+
+
 def test_quantize_model_equals_gen(reference_model):
     fm = gen_random_float_model(1)
     assert save(quantize_model(fm)) == save(reference_model)
@@ -401,6 +409,60 @@ def test_features_roundtrip(frontend_cfg):
     assert cfg == frontend_cfg
     assert (patches[0].values == patch.values).all()
     assert patches[0].qformat == patch.qformat
+
+
+def test_saved_feature_bytes_are_pinned(frontend_cfg):
+    rng = np.random.default_rng(8)
+    blob = save_features([random_mel_input(rng) for _ in range(3)], frontend_cfg)
+    assert len(blob) == 12 + 52 + 12 + 3 * 64 * 400 * 2 + 4
+    assert hashlib.sha256(blob).hexdigest() == \
+        "209891dcf2a08e4d10ccf0ff0ffef6c30c619bcd01278befd4820ff10e1a2ab7"
+
+
+def traced_peak(fn):
+    """tracemalloc peak of one call of fn, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def recording():
+    """64 s of int16 noise: 20 consecutive 3.2 s patches."""
+    rng = np.random.default_rng(12)
+    return (rng.uniform(-0.5, 0.5, 20 * 51200) * 32767).astype(np.int16)
+
+
+def extract(recording, cfg):
+    """What `binsed extract --all-chunks` does, with the file kept in memory."""
+    from binsed import mel_spectrogram
+    from binsed.cli import chunk_audio
+
+    return save_features([mel_spectrogram(c, cfg)
+                          for c in chunk_audio(recording, cfg.patch_samples, True)], cfg)
+
+
+def test_extract_peak_memory(recording, frontend_cfg):
+    # The int32 patches, the payload's int16 parts and the joined file are
+    # the large arrays; the container is written without a further copy.
+    blob = extract(recording, frontend_cfg)  # warm-up: window and filterbank caches
+    peak = traced_peak(lambda: extract(recording, frontend_cfg))
+    patches = 20 * 64 * 400 * 4
+    bound = patches + 2 * len(blob) + 256 * 1024
+    assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
+
+
+def test_load_features_peak_memory(recording, frontend_cfg):
+    # Only the int32 patches themselves: the payload is read through a view
+    # and each patch converted from int16 in one copy.
+    blob = extract(recording, frontend_cfg)
+    peak = traced_peak(lambda: load_features(blob))
+    bound = 20 * 64 * 400 * 4 + 256 * 1024
+    assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
 def test_feature_truncation_detected(frontend_cfg):
