@@ -133,6 +133,11 @@ def cmd_infer(args) -> int:
 def cmd_quantize(args) -> int:
     fm = model_io.load_float_model(args.float)
     model = model_io.quantize_model(fm, weight_bitwidth=args.qformat_bits)
+    net = model.network
+    try:  # write only what infer will load
+        model_io.check_frontend_coupling(net.input_shape, net.input_qformat, model.frontend)
+    except ValueError as e:
+        raise InputFormatError(f"float model archive: {e}") from e
     model_io.save_file(model, args.out)
     print(f"wrote quantized model to {args.out}")
     return 0

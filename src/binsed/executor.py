@@ -134,12 +134,19 @@ class NetworkSpec:
                 or any(kind != BINARY_CONV for kind in kinds[1:-1]):
             raise ValueError(f"layer kinds must run {FIXED_CONV}, any number of "
                              f"{BINARY_CONV}, then {FINAL_CONV}; got {', '.join(kinds)}")
-        c = self.input_shape[2]
+        # A fixed layer's bias sits at accumulator scale: its input qformat (the
+        # network's for the first layer, 0 for the +-1 bits the final conv
+        # reads) plus its weights'.
+        c, q = self.input_shape[2], self.input_qformat
         for i, layer in enumerate(self.layers):
+            p = layer.fixed
+            if p is not None and p.bias_qformat != q + p.weights_qformat:
+                raise ValueError(f"layer {i}: bias_qformat {p.bias_qformat} is not the input "
+                                 f"qformat {q} plus weights_qformat {p.weights_qformat}")
             if layer.in_channels != c:
                 raise ValueError(
                     f"layer {i} expects {layer.in_channels} input channels, gets {c}")
-            c = layer.out_channels
+            c, q = layer.out_channels, 0
         if c != self.classes:
             raise ValueError(f"final layer emits {c} channels, expected {self.classes} classes")
 
@@ -264,26 +271,22 @@ class TilePlan:
     halo: int
     out_ranges: tuple[tuple[int, int], ...]  # final-feature-map columns per tile
     in_ranges: tuple[tuple[int, int], ...]  # input columns per tile (with halo)
-    axis: str = "width"
 
 
-def plan_tiles(net: NetworkSpec, tile_count: int, halo: int | None = None) -> TilePlan:
+def plan_tiles(net: NetworkSpec, tile_count: int) -> TilePlan:
     """Balance output columns over tiles and extend each input range by halo/2.
 
-    The default halo is derived from the receptive field; with odd kernels
-    adjacent input ranges then overlap by exactly halo pixels (away from the
-    image edges).  An even kernel's odd pad pixel sits on the right, so with
-    the derived halo each range is also widened to the exact interval its
-    output columns need.
+    The halo is derived from the receptive field; with odd kernels adjacent
+    input ranges then overlap by exactly halo pixels (away from the image
+    edges).  An even kernel's odd pad pixel sits on the right, so each range
+    is also widened to the exact interval its output columns need.
     """
-    derived = halo is None
     chain = net.shape_chain()
     final_w = chain[-1][1]
     input_w = chain[0][1]
     if not (1 <= tile_count <= final_w):
         raise ValueError(f"tile count must be in [1, {final_w}], got {tile_count}")
-    if halo is None:
-        halo = receptive_field_halo(net)
+    halo = receptive_field_halo(net)
     jump = 1
     for layer in net.layers:
         jump *= layer.stride
@@ -297,12 +300,9 @@ def plan_tiles(net: NetworkSpec, tile_count: int, halo: int | None = None) -> Ti
         lo = hi
     in_ranges = []
     for olo, ohi in out_ranges:
-        lo = max(0, olo * jump - halo // 2)
-        hi = min(input_w, ohi * jump + (halo + 1) // 2)
-        if derived:
-            need_lo, need_hi = _backward_intervals(net, olo, ohi)[0]
-            lo, hi = min(lo, need_lo), max(hi, need_hi)
-        in_ranges.append((lo, hi))
+        need_lo, need_hi = _backward_intervals(net, olo, ohi)[0]
+        in_ranges.append((min(need_lo, max(0, olo * jump - halo // 2)),
+                          max(need_hi, min(input_w, ohi * jump + (halo + 1) // 2))))
     return TilePlan(tile_count, halo, tuple(out_ranges), tuple(in_ranges))
 
 

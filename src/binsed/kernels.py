@@ -30,6 +30,7 @@ from .tensors import (
     _pack_bits,
     signed_range,
     words_per_pixel,
+    write_bits,
 )
 
 log = logging.getLogger(__name__)
@@ -136,16 +137,6 @@ class ColRegion:
     out_hi: int
 
 
-def _resolve_region(width: int, kernel: int, stride: int, region: ColRegion | None):
-    if region is None:
-        out_w, pl, _ = same_pad(width, kernel, stride)
-        return width, 0, 0, out_w, pl
-    out_w_full, pl, _ = same_pad(region.full_width, kernel, stride)
-    if not (0 <= region.out_lo < region.out_hi <= out_w_full):
-        raise ValueError(f"output columns [{region.out_lo},{region.out_hi}) outside [0,{out_w_full})")
-    return region.full_width, region.col_offset, region.out_lo, region.out_hi, pl
-
-
 def _column_slab(values: np.ndarray, full_w: int, col_offset: int,
                  need_lo: int, need_hi: int, pad_rows: tuple[int, int]) -> np.ndarray:
     """The zero-extended slab covering monolithic columns [need_lo, need_hi):
@@ -171,6 +162,28 @@ def _column_slab(values: np.ndarray, full_w: int, col_offset: int,
     return slab
 
 
+def _conv_slab(values: np.ndarray, ky: int, kx: int, stride: int,
+               region: ColRegion | None):
+    """Geometry and input of a "same" conv over the output columns region
+    names (the whole map when None), shared by both block builders.
+
+    Returns (out_h, pt, pl, region, slab): the top and left padding, the
+    resolved region, and the zero-extended input slab whose row 0 and
+    column 0 are the top-left window's first tap.
+    """
+    h, w = values.shape[:2]
+    out_h, pt, pb = same_pad(h, ky, stride)
+    out_w, pl, _ = same_pad(w if region is None else region.full_width, kx, stride)
+    if region is None:
+        region = ColRegion(w, 0, 0, out_w)
+    elif not (0 <= region.out_lo < region.out_hi <= out_w):
+        raise ValueError(f"output columns [{region.out_lo},{region.out_hi}) outside [0,{out_w})")
+    need_lo = region.out_lo * stride - pl
+    need_hi = (region.out_hi - 1) * stride - pl + kx
+    slab = _column_slab(values, region.full_width, region.col_offset, need_lo, need_hi, (pt, pb))
+    return out_h, pt, pl, region, slab
+
+
 def _valid_span(out_len: int, offset: int, stride: int, tap: int, pad: int, size: int):
     """Half-open range of output indices whose tap (offset by `offset`) lands inside [0, size)."""
     lo = -(-(pad - tap) // stride) - offset
@@ -181,6 +194,10 @@ def _valid_span(out_len: int, offset: int, stride: int, tap: int, pad: int, size
 # ---------------------------------------------------------------------------
 # fixed-point convolution
 # ---------------------------------------------------------------------------
+
+
+# Largest output shift the float64 epilogue of conv2d_fixed performs exactly.
+MAX_OUTPUT_SHIFT = 52
 
 
 @dataclass(frozen=True)
@@ -203,6 +220,10 @@ class FixedConvParams:
             raise ValueError("weights must be [out][ky][kx][in]")
         if self.bias.shape != (self.weights.shape[0],):
             raise ValueError("bias must have one entry per output channel")
+        if not 0 <= self.output_shift <= MAX_OUTPUT_SHIFT:
+            raise ValueError(f"output_shift {self.output_shift} outside [0, {MAX_OUTPUT_SHIFT}]")
+        if self.output_bitwidth not in (16, 32):
+            raise ValueError(f"output_bitwidth {self.output_bitwidth} is not 16 or 32")
         self.weights.flags.writeable = False
         self.bias.flags.writeable = False
 
@@ -229,11 +250,8 @@ class FixedConvParams:
         """Reject parameter sets whose worst-case sum exceeds a 32-bit accumulator."""
         bound = self.accumulator_bound(max_abs_input)
         if bound >= 1 << 31:
-            raise ValueError(f"worst-case accumulator {bound} overflows 32 bits")
-
-
-# Largest output shift the float64 epilogue of conv2d_fixed performs exactly.
-MAX_OUTPUT_SHIFT = 52
+            raise ValueError(f"weights and bias: worst-case accumulator {bound} "
+                             "overflows 32 bits")
 
 # What the conv loops size their widest temporary to: the float64 matmul
 # block of a fixed conv, the xor block of a binary conv.  A layer's buffers
@@ -246,13 +264,6 @@ def _block_rows(out_h: int, row_bytes: int) -> int:
     """Output rows per block: as many as keep a block's widest temporary,
     row_bytes per output row, within BLOCK_BYTES, and at least one."""
     return max(1, min(out_h, BLOCK_BYTES // max(row_bytes, 1)))
-
-
-def _pack_rows(words: np.ndarray, r0: int, bits: np.ndarray) -> None:
-    """Pack bool bits [n][W][C] into rows [r0, r0 + n) of little-endian words
-    [H][W][nw], in the layout of tensors._pack_bits."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    words.view(np.uint8)[r0:r0 + len(bits), :, :packed.shape[-1]] = packed
 
 
 def rounding_shift(acc: np.ndarray, shift: int) -> np.ndarray:
@@ -304,16 +315,10 @@ def _fixed_conv_blocks(x: FixedTensor, p: FixedConvParams, stride: int,
     if p.bias_qformat != x.qformat + p.weights_qformat:
         raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
 
-    out_h, pt, pb = same_pad(x.height, ky, stride)
-    full_w, col_offset, out_lo, out_hi, pl = _resolve_region(x.width, kx, stride, col_region)
-    need_lo = out_lo * stride - pl
-    need_hi = (out_hi - 1) * stride - pl + kx
-    slab = _column_slab(x.values, full_w, col_offset, need_lo, need_hi, (pt, pb))
-    ow = out_hi - out_lo
+    out_h, _, _, region, slab = _conv_slab(x.values, ky, kx, stride, col_region)
+    ow = region.out_hi - region.out_lo
 
     shift = p.output_shift
-    if not 0 <= shift <= MAX_OUTPUT_SHIFT:
-        raise ValueError(f"output shift {shift} outside [0, {MAX_OUTPUT_SHIFT}]")
     max_in = max(int(slab.max(initial=0)), -int(slab.min(initial=0)))
     bound = p.accumulator_bound(max_in)
     if bound >= 1 << 52:
@@ -397,7 +402,7 @@ def conv2d_fixed_sign(x: FixedTensor, p: FixedConvParams, fold: BnFold, stride: 
         for r0, r1, acc in blocks:
             bits = acc >= limits
             bits ^= flip
-            _pack_rows(words, r0, bits.reshape(r1 - r0, ow, p.out_channels))
+            write_bits(words[r0:r1], bits.reshape(r1 - r0, ow, p.out_channels))
     return BinaryTensor(out_h, ow, p.out_channels, words.astype(np.uint32, copy=False))
 
 
@@ -505,11 +510,7 @@ def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
     popcount_fn = get_popcount(popcount)
 
     ky, kx = w.ky, w.kx
-    out_h, pt, pb = same_pad(x.height, ky, stride)
-    full_w, col_offset, out_lo, out_hi, pl = _resolve_region(x.width, kx, stride, col_region)
-    need_lo = out_lo * stride - pl
-    need_hi = (out_hi - 1) * stride - pl + kx
-    slab = _column_slab(x.words, full_w, col_offset, need_lo, need_hi, (pt, pb))
+    out_h, pt, pl, region, slab = _conv_slab(x.words, ky, kx, stride, col_region)
 
     # Pairs of 32-bit words fuse into one 64-bit popcount when they divide evenly.
     if slab.shape[-1] % 2 == 0:
@@ -518,7 +519,7 @@ def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
     else:
         wwords = w.words
 
-    ow = out_hi - out_lo
+    ow = region.out_hi - region.out_lo
     oc = w.out_channels
     # The sum is at most ky*kx*channels; uint16 while that stays below the
     # dtype's maximum, so a threshold bound of sum + 1 still fits.
@@ -528,7 +529,8 @@ def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
     # popcount loops vectorize.  wt is [ky][kx][word][oc].
     wt = np.ascontiguousarray(wwords.transpose(1, 2, 3, 0))
     row_spans = [_valid_span(out_h, 0, stride, dy, pt, x.height) for dy in range(ky)]
-    col_spans = [_valid_span(ow, out_lo, stride, dx, pl, full_w) for dx in range(kx)]
+    col_spans = [_valid_span(ow, region.out_lo, stride, dx, pl, region.full_width)
+                 for dx in range(kx)]
     # The valid-tap count factors into independent row and column counts.
     vy = np.zeros(out_h, dtype=np.int32)
     vx = np.zeros(ow, dtype=np.int32)
@@ -619,7 +621,7 @@ def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFol
                     bounds[v] = np.clip((c * v - folded) // 2 + 1, 0, c * v + 1).astype(pc.dtype)
                 np.less(pc[y0:y1, c0:c1], bounds[v], out=bits[y0:y1, c0:c1])
         bits ^= flip
-        _pack_rows(words, r0, bits)
+        write_bits(words[r0:r1], bits)
     return BinaryTensor(out_h, ow, w.out_channels, words.astype(np.uint32, copy=False))
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +39,9 @@ from .executor import (
     NetworkSpec,
 )
 from .frontend import FrontendConfig
-from .kernels import MAX_OUTPUT_SHIFT, BnFold, FixedConvParams, rounding_shift
+from .kernels import BnFold, FixedConvParams, rounding_shift
 from .tensors import (
+    FixedTensor,
     PackedBinaryWeights,
     pack_weights,
     quantize_values,
@@ -199,8 +200,14 @@ def _verify_fold(fold: BnFold, gamma, beta, mu, sigma, qformat: int,
                     f"fold bit {bool(fold_bits[i])}, exact sign bit {exact}")
 
 
-def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int, max_abs_input: int,
-                          weight_bitwidth: int, output_bitwidth: int) -> FixedConvParams:
+def _max_abs_input(kind: str) -> int:
+    """The largest |input| a fixed layer's 32-bit accumulator must hold: any
+    int16 feature for the first layer, a +-1 bit for the final conv."""
+    return signed_range(16)[1] if kind == FIXED_CONV else 1
+
+
+def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int, weight_bitwidth: int,
+                          output_bitwidth: int) -> FixedConvParams:
     """Quantize one non-binary conv layer with accumulator-safe qformats.
 
     The weight qformat starts from the 99.9% rule, then backs off until the
@@ -208,14 +215,12 @@ def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int, max_abs_input: int
     smallest that brings that bound into the output bitwidth.
     """
     bias = fl.bias if fl.bias is not None else np.zeros(fl.out_channels)
-    taps = fl.kernel[0] * fl.kernel[1] * fl.in_channels
     f = choose_qformat(fl.weights, weight_bitwidth)
     while True:
         w_int, _ = quantize_values(fl.weights, f, weight_bitwidth)
-        acc_q = input_qformat + f
-        b_int, _ = quantize_values(bias, acc_q, 32)
-        bound = taps * int(np.abs(w_int).max(initial=0)) * max_abs_input \
-            + int(np.abs(b_int).max(initial=0))
+        b_int, _ = quantize_values(bias, input_qformat + f, 32)
+        params = FixedConvParams(w_int, f, b_int, input_qformat + f, 0, output_bitwidth)
+        bound = params.accumulator_bound(_max_abs_input(fl.kind))
         if bound < (1 << 31) or f == 0:
             break
         f -= 1
@@ -226,7 +231,7 @@ def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int, max_abs_input: int
     qmax = signed_range(output_bitwidth)[1]
     while rounding_shift(np.int64(bound), shift) > qmax:
         shift += 1
-    return FixedConvParams(w_int, f, b_int, acc_q, shift, output_bitwidth)
+    return replace(params, output_shift=shift)
 
 
 def quantize_model(fm: FloatModel, frontend: FrontendConfig | None = None,
@@ -237,8 +242,7 @@ def quantize_model(fm: FloatModel, frontend: FrontendConfig | None = None,
     specs = []
     for fl in fm.layers:
         if fl.kind == FIXED_CONV:
-            params = _quantize_fixed_layer(fl, in_q, signed_range(16)[1],
-                                           weight_bitwidth, output_bitwidth=16)
+            params = _quantize_fixed_layer(fl, in_q, weight_bitwidth, output_bitwidth=16)
             out_q = in_q + params.weights_qformat - params.output_shift
             fold = fold_batchnorm(fl.gamma, fl.beta, fl.mu, fl.sigma,
                                   value_qformat=out_q, acc_range=signed_range(16))
@@ -254,8 +258,7 @@ def quantize_model(fm: FloatModel, frontend: FrontendConfig | None = None,
                                    fl.out_channels, fl.stride,
                                    weights=packed, fold=fold))
         elif fl.kind == FINAL_CONV:
-            params = _quantize_fixed_layer(fl, 0, 1, weight_bitwidth,
-                                           output_bitwidth=32)
+            params = _quantize_fixed_layer(fl, 0, weight_bitwidth, output_bitwidth=32)
             specs.append(LayerSpec(fl.kind, fl.kernel, fl.in_channels,
                                    fl.out_channels, fl.stride, fixed=params))
         else:
@@ -378,13 +381,8 @@ def _pack_fold(fold: BnFold) -> bytes:
     return fold.polarity.astype("<i1").tobytes() + fold.threshold.astype("<i4").tobytes()
 
 
-def _unpack_fold(cur: _Cursor, index: int, channels: int) -> BnFold:
-    polarity = cur.array("<i1", channels)
-    threshold = cur.array("<i4", channels)
-    try:
-        return BnFold(polarity, threshold)
-    except ValueError as e:  # a polarity other than -1 or +1
-        raise TruncatedError(f"layer {index}: {e}") from e
+def _unpack_fold(cur: _Cursor, channels: int) -> BnFold:
+    return BnFold(cur.array("<i1", channels), cur.array("<i4", channels))
 
 
 def save(model: Model) -> bytes:
@@ -417,74 +415,62 @@ def save(model: Model) -> bytes:
     return _container(MODEL_MAGIC, parts)
 
 
+def check_frontend_coupling(input_shape, input_qformat: int, cfg: FrontendConfig) -> None:
+    """Refuse a network whose input is not the frontend's patch: a model that
+    passes always accepts its own frontend's features."""
+    if input_qformat != cfg.output_qformat:
+        raise ValueError(f"network input_qformat {input_qformat} does not match "
+                         f"frontend output_qformat {cfg.output_qformat}")
+    if tuple(input_shape) != (cfg.mel_bins, cfg.frames, 1):
+        raise ValueError(f"network input_shape {tuple(input_shape)} does not match the "
+                         f"frontend patch shape {(cfg.mel_bins, cfg.frames, 1)}")
+
+
 def load(data: bytes) -> Model:
-    """Deserialize a model, validating magic, version, length, and CRC."""
+    """Deserialize a model.  Only format-level facts are judged here; the
+    parameter, layer and network types refuse the rest, each refusal a
+    TruncatedError naming its layer or the network."""
     payload = _check_container(data, MODEL_MAGIC)
     cur = _Cursor(payload)
     cfg = _unpack_frontend(cur)
     h, w, c, in_q, _pad, classes, n_layers = cur.unpack(_NET_FMT)
-    if in_q != cfg.output_qformat:
-        raise TruncatedError(f"network input_qformat {in_q} does not match "
-                             f"frontend output_qformat {cfg.output_qformat}")
-    if (h, w, c) != (cfg.mel_bins, cfg.frames, 1):
-        raise TruncatedError(f"network input_shape {(h, w, c)} does not match the "
-                             f"frontend patch shape {(cfg.mel_bins, cfg.frames, 1)}")
+    try:
+        check_frontend_coupling((h, w, c), in_q, cfg)
+    except ValueError as e:
+        raise TruncatedError(str(e)) from e
     layers = []
     for index in range(n_layers):
         code, ky, kx, stride, in_c, out_c = cur.unpack(_LAYER_FMT)
         if code not in _KIND_NAMES:
             raise TruncatedError(f"unknown layer kind code {code}")
         kind = _KIND_NAMES[code]
-        if kind == BINARY_CONV:
-            words = cur.array("<u4", out_c * ky * kx * words_per_pixel(in_c), np.uint32)
-            packed = PackedBinaryWeights(
-                out_c, in_c, ky, kx,
-                words.reshape(out_c, ky, kx, words_per_pixel(in_c)))
-            fold = _unpack_fold(cur, index, out_c)
-            layers.append(_layer(index, kind, (ky, kx), in_c, out_c, stride,
-                                 weights=packed, fold=fold))
-        else:
-            wq, bq, shift, out_bw, has_fold, w_store, _r = cur.unpack(_FIXED_FMT)
-            if w_store not in (16, 32):
-                raise TruncatedError(f"bad weight storage width {w_store}")
-            if shift > MAX_OUTPUT_SHIFT:
-                raise TruncatedError(f"layer {index}: output_shift {shift} "
-                                      f"outside [0, {MAX_OUTPUT_SHIFT}]")
-            if out_bw not in (16, 32):
-                raise TruncatedError(f"layer {index}: output_bitwidth {out_bw} "
-                                      "is not 16 or 32")
-            wts = cur.array("<i2" if w_store == 16 else "<i4", out_c * ky * kx * in_c)
-            bias = cur.array("<i4", out_c)
-            # the fixed layer reads the network input, the final conv +-1 bits
-            in_qformat = in_q if kind == FIXED_CONV else 0
-            if bq != in_qformat + wq:
-                raise TruncatedError(
-                    f"layer {index}: bias_qformat {bq} is not the input qformat "
-                    f"{in_qformat} plus weights_qformat {wq}")
-            params = FixedConvParams(wts.reshape(out_c, ky, kx, in_c), wq,
-                                     bias, bq, shift, out_bw)
-            # overflow possibility is a load-time check, not a per-element one
-            try:
-                params.check_accumulator(signed_range(16)[1] if kind == FIXED_CONV else 1)
-            except ValueError as e:
-                raise TruncatedError(f"layer {index}: weights and bias: {e}") from e
-            fold = _unpack_fold(cur, index, out_c) if has_fold else None
-            layers.append(_layer(index, kind, (ky, kx), in_c, out_c, stride,
-                                 fixed=params, fold=fold))
+        try:
+            params = packed = None
+            if kind == BINARY_CONV:
+                nw = words_per_pixel(in_c)
+                words = cur.array("<u4", out_c * ky * kx * nw, np.uint32)
+                packed = PackedBinaryWeights(out_c, in_c, ky, kx,
+                                             words.reshape(out_c, ky, kx, nw))
+                has_fold = 1
+            else:
+                wq, bq, shift, out_bw, has_fold, w_store, _r = cur.unpack(_FIXED_FMT)
+                if w_store not in (16, 32):
+                    raise TruncatedError(f"bad weight storage width {w_store}")
+                wts = cur.array("<i2" if w_store == 16 else "<i4", out_c * ky * kx * in_c)
+                params = FixedConvParams(wts.reshape(out_c, ky, kx, in_c), wq,
+                                         cur.array("<i4", out_c), bq, shift, out_bw)
+                # overflow possibility is a load-time check, not a per-element one
+                params.check_accumulator(_max_abs_input(kind))
+            fold = _unpack_fold(cur, out_c) if has_fold else None
+            layers.append(LayerSpec(kind, (ky, kx), in_c, out_c, stride, params, packed, fold))
+        except ValueError as e:  # refused by a parameter or layer type
+            raise TruncatedError(f"layer {index}: {e}") from e
     cur.done()
     try:
         net = NetworkSpec(tuple(layers), (h, w, c), in_q, classes)
-    except ValueError as e:  # layer kind order, channel chain, class count
+    except ValueError as e:  # layer kind order, bias qformats, channel chain, class count
         raise TruncatedError(f"network: {e}") from e
     return Model(net, cfg)
-
-
-def _layer(index: int, *args, **kwargs) -> LayerSpec:
-    """LayerSpec(*args, **kwargs), with a refusal naming the layer."""
-    try:
-        return LayerSpec(*args, **kwargs)
-    except ValueError as e:  # stride, missing fold
-        raise TruncatedError(f"layer {index}: {e}") from e
 
 
 def _container(magic: bytes, parts) -> bytes:
@@ -570,6 +556,8 @@ def save_features(patches, cfg: FrontendConfig) -> bytes:
              struct.pack("<HBB3H2x", len(patches), first.qformat, first.bitwidth,
                          first.height, first.width, first.channels)]
     for p in patches:
+        if p.bitwidth != 16:  # the frontend emits 16-bit features only
+            raise ValueError(f"feature patches are 16-bit, got bitwidth {p.bitwidth}")
         if p.shape != first.shape or p.qformat != first.qformat:
             raise ValueError("all patches in one file must share shape and qformat")
         parts.append(np.ascontiguousarray(p.values, "<i2"))
@@ -578,14 +566,12 @@ def save_features(patches, cfg: FrontendConfig) -> bytes:
 
 def load_features(data: bytes):
     """Inverse of save_features: returns (list of FixedTensor, FrontendConfig)."""
-    from .tensors import FixedTensor
-
     payload = _check_container(data, FEATURE_MAGIC)
     cur = _Cursor(payload)
     cfg = _unpack_frontend(cur)
     count, qformat, bitwidth, h, w, c = cur.unpack("<HBB3H2x")
-    if bitwidth not in (16, 32):
-        raise TruncatedError(f"feature bitwidth {bitwidth} is not 16 or 32")
+    if bitwidth != 16:  # the frontend emits 16-bit features only
+        raise TruncatedError(f"feature bitwidth {bitwidth} is not 16")
     patches = []
     for _ in range(count):
         vals = cur.array("<i2", h * w * c).reshape(h, w, c)

@@ -117,19 +117,20 @@ def signed_range(bitwidth: int) -> tuple[int, int]:
     return -(1 << (bitwidth - 1)), (1 << (bitwidth - 1)) - 1
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a trailing channel axis of {0,1} values into uint32 words.
-
-    bits: [..., C] bool or 0/1 integer array.  Returns [..., ceil(C/32)] uint32
-    with channel 32*w+b in bit b of word w; padding bits are zero.
-    """
-    nbytes = 4 * words_per_pixel(bits.shape[-1])
+def write_bits(words: np.ndarray, bits: np.ndarray) -> None:
+    """Write bits [..., C] (bool or 0/1 integers) into little-endian words
+    [..., ceil(C/32)], channel 32*w+b in bit b of word w.  Padding bits keep
+    their value, zero in a zeroed buffer."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    if packed.shape[-1] != nbytes:
-        padded = np.zeros(packed.shape[:-1] + (nbytes,), dtype=np.uint8)
-        padded[..., :packed.shape[-1]] = packed
-        packed = padded
-    return packed.view("<u4").astype(np.uint32, copy=False)
+    words.view(np.uint8)[..., :packed.shape[-1]] = packed
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack a trailing channel axis of {0,1} values into uint32 words
+    [..., ceil(C/32)] with zero padding bits."""
+    words = np.zeros(bits.shape[:-1] + (words_per_pixel(bits.shape[-1]),), dtype="<u4")
+    write_bits(words, bits)
+    return words.astype(np.uint32, copy=False)
 
 
 def _unpack_bits(words: np.ndarray, channels: int) -> np.ndarray:

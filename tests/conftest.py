@@ -3,9 +3,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from binsed import BnFold, FixedTensor, FrontendConfig, LayerSpec, gen_random_model, pack_weights
-from binsed.executor import BINARY_CONV
+from binsed.executor import BINARY_CONV, FINAL_CONV, FIXED_CONV
 
 
 @pytest.fixture(scope="session")
@@ -27,18 +28,21 @@ def random_mel_input(rng, cfg=None) -> FixedTensor:
 
 
 def with_fixed_fields(model, layer_index: int, **fields):
-    """A copy of a model whose fixed-point layer has the given parameter fields."""
-    net = model.network
-    layers = list(net.layers)
-    layer = layers[layer_index]
-    layers[layer_index] = dataclasses.replace(
-        layer, fixed=dataclasses.replace(layer.fixed, **fields))
-    return dataclasses.replace(
-        model, network=dataclasses.replace(net, layers=tuple(layers)))
+    """A copy of a model whose fixed-point layer has the given parameter
+    fields, even ones FixedConvParams or NetworkSpec refuse (as a model
+    written elsewhere may)."""
+    layers = list(model.network.layers)
+    layer = layers[layer_index] = copy.copy(layers[layer_index])
+    fixed = copy.copy(layer.fixed)
+    for name, value in fields.items():
+        object.__setattr__(fixed, name, value)
+    object.__setattr__(layer, "fixed", fixed)
+    return with_layers(model, layers)
 
 
 def with_output_shift(model, layer_index: int, shift: int):
-    """A copy of a model whose fixed-point layer has another output shift."""
+    """A copy of a model whose fixed-point layer has another output shift,
+    even one FixedConvParams refuses."""
     return with_fixed_fields(model, layer_index, output_shift=shift)
 
 
@@ -70,3 +74,21 @@ def with_frontend_fields(model, **fields):
     for name, value in fields.items():
         object.__setattr__(cfg, name, value)
     return dataclasses.replace(model, frontend=cfg)
+
+
+@st.composite
+def small_topologies(draw):
+    """A fixed first layer, 1-3 binary layers and a final conv, on a small
+    input; the halo ranges far beyond the reference topology's 20.  Even
+    kernels pad one pixel more on the right than on the left."""
+    channels = st.integers(16, 70)
+    k = draw(st.integers(1, 5))
+    table = [(FIXED_CONV, k, k, draw(channels), draw(st.sampled_from((1, 2))))]
+    for _ in range(draw(st.integers(1, 3))):
+        table.append((BINARY_CONV, draw(st.integers(1, 3)),
+                      draw(st.integers(1, 5)), draw(channels),
+                      draw(st.sampled_from((1, 2)))))
+    classes = draw(st.integers(2, 8))
+    table.append((FINAL_CONV, 1, 1, classes, 1))
+    shape = (draw(st.integers(3, 11)), 2 * draw(st.integers(4, 39)) + 1, 1)
+    return tuple(table), shape, classes, draw(st.integers(0, 2**32 - 1))

@@ -18,7 +18,7 @@ from binsed import (
 )
 from binsed.cli import chunk_audio, main, read_wav
 from binsed.errors import InputFormatError
-from binsed.model_io import Model
+from binsed.model_io import Model, gen_random_float_model, save_float_model
 from binsed.executor import NetworkSpec
 from tests.conftest import (
     binary_first_layers,
@@ -210,6 +210,16 @@ def test_gen_model_and_quantize_agree(workdir, capsys):
     m2 = workdir / "g2.bsed"
     assert main(["quantize", "--float", str(fm), "--out", str(m2)]) == 0
     assert m1.read_bytes() == m2.read_bytes()
+
+
+def test_quantize_refuses_model_infer_cannot_load(workdir, capsys):
+    fm = workdir / "narrow.npz"
+    save_float_model(gen_random_float_model(3, input_shape=(64, 200, 1)), fm)
+    out = workdir / "narrow.bsed"
+    assert main(["quantize", "--float", str(fm), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "network input_shape (64, 200, 1) does not match the frontend patch shape " \
+        "(64, 400, 1)" in capsys.readouterr().err
 
 
 def test_gen_model_describe(workdir, capsys):

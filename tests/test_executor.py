@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import tracemalloc
@@ -5,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from binsed import (
     MemoryBudget,
@@ -37,7 +37,7 @@ from binsed.kernels import BLOCK_BYTES, BnFold, rounding_shift
 from binsed.model_io import gen_random_float_model, quantize_model
 from binsed.oracle import reference_network_run
 from binsed.tensors import FixedTensor, pack_weights
-from tests.conftest import binary_first_layers, random_mel_input
+from tests.conftest import binary_first_layers, random_mel_input, small_topologies
 
 
 def test_shape_chain(reference_model):
@@ -104,6 +104,19 @@ def test_layer_kind_order_rejected(table):
     fm = gen_random_float_model(1, table=table, input_shape=(3, 20, 1), classes=4)
     with pytest.raises(ValueError, match=KIND_ORDER):
         quantize_model(fm)
+
+
+@pytest.mark.parametrize("layer_index, input_qformat", [(0, 10), (6, 0)])
+def test_bias_qformat_chain_rejected(reference_model, layer_index, input_qformat):
+    net = reference_model.network
+    layers = list(net.layers)
+    p = layers[layer_index].fixed
+    layers[layer_index] = dataclasses.replace(
+        layers[layer_index], fixed=dataclasses.replace(p, bias_qformat=p.bias_qformat + 1))
+    with pytest.raises(ValueError, match=rf"layer {layer_index}: bias_qformat "
+                                         rf"{p.bias_qformat + 1} is not the input qformat "
+                                         rf"{input_qformat} plus weights_qformat "):
+        dataclasses.replace(net, layers=tuple(layers))
 
 
 def test_matches_naive_oracle_network():
@@ -177,24 +190,6 @@ def test_tiled_equals_monolithic(reference_model):
     tiled8 = run_tiled(x, reference_model.network,
                        plan_tiles(reference_model.network, 4), threads=8)
     assert (tiled8.scores == mono.scores).all()
-
-
-@st.composite
-def small_topologies(draw):
-    """A fixed first layer, 1-3 binary layers and a final conv, on a small
-    input; the halo ranges far beyond the reference topology's 20.  Even
-    kernels pad one pixel more on the right than on the left."""
-    channels = st.integers(16, 70)
-    k = draw(st.integers(1, 5))
-    table = [(FIXED_CONV, k, k, draw(channels), draw(st.sampled_from((1, 2))))]
-    for _ in range(draw(st.integers(1, 3))):
-        table.append((BINARY_CONV, draw(st.integers(1, 3)),
-                      draw(st.integers(1, 5)), draw(channels),
-                      draw(st.sampled_from((1, 2)))))
-    classes = draw(st.integers(2, 8))
-    table.append((FINAL_CONV, 1, 1, classes, 1))
-    shape = (draw(st.integers(3, 11)), 2 * draw(st.integers(4, 39)) + 1, 1)
-    return tuple(table), shape, classes, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -289,9 +284,12 @@ def test_l1_tile_count_is_fewest_tiles_that_fit(reference_model):
 def test_halo_18_rejected(reference_model):
     rng = np.random.default_rng(4)
     x = random_mel_input(rng)
-    plan = plan_tiles(reference_model.network, 4, halo=18)
+    # the reference topology's 20-column halo narrowed to 18: 9 columns per side
+    plan = plan_tiles(reference_model.network, 4)
+    narrowed = dataclasses.replace(plan, halo=18, in_ranges=tuple(
+        (max(0, olo * 4 - 9), min(400, ohi * 4 + 9)) for olo, ohi in plan.out_ranges))
     with pytest.raises(ValueError, match="halo too small"):
-        run_tiled(x, reference_model.network, plan)
+        run_tiled(x, reference_model.network, narrowed)
 
 
 def test_bad_out_ranges_rejected(reference_model):

@@ -6,8 +6,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from binsed import (
+    FixedTensor,
+    FrontendConfig,
     binarize_weights,
     choose_qformat,
     fold_batchnorm,
@@ -38,6 +41,7 @@ from binsed.model_io import (
 from tests.conftest import (
     binary_first_layers,
     random_mel_input,
+    small_topologies,
     with_fixed_fields,
     with_frontend_fields,
     with_layers,
@@ -181,11 +185,27 @@ def test_roundtrip_preserves_inference(reference_model):
     assert before.prediction == after.prediction
 
 
+@settings(max_examples=30, deadline=None)
+@given(small_topologies())
+def test_roundtrip_over_random_topologies(case):
+    # 400 frames and the topology's mel bins make the frontend's patch, so load accepts it
+    table, (h, _, _), classes, seed = case
+    fm = gen_random_float_model(seed, table=table, input_shape=(h, 400, 1), classes=classes)
+    model = quantize_model(fm, FrontendConfig(mel_bins=h))
+    blob = save(model)
+    back = load(blob)
+    assert save(back) == blob
+    x = random_mel_input(np.random.default_rng(seed), model.frontend)
+    before = run_monolithic(x, model.network)
+    assert (run_monolithic(x, back.network).scores == before.scores).all()
+
+
 def test_truncation_detected(reference_model):
     blob = save(reference_model)
-    with pytest.raises(TruncatedError):
+    with pytest.raises(TruncatedError, match=rf"^container is {len(blob) - 1} bytes, "
+                                             rf"expected {len(blob)}$"):
         load(blob[:-1])
-    with pytest.raises(TruncatedError):
+    with pytest.raises(TruncatedError, match="^container is 5 bytes, header needs 12$"):
         load(blob[:5])
 
 
@@ -198,21 +218,24 @@ def test_bad_magic_detected(reference_model):
 def test_version_mismatch_detected(reference_model):
     blob = bytearray(save(reference_model))
     blob[4] = 99
-    with pytest.raises(VersionError):
+    with pytest.raises(VersionError, match="^format version 99, this build reads 1$"):
         load(bytes(blob))
 
 
 def test_crc_detected(reference_model):
     blob = bytearray(save(reference_model))
     blob[100] ^= 0xFF  # flip a payload bit
-    with pytest.raises(CrcError):
+    with pytest.raises(CrcError, match="^payload CRC mismatch$"):
         load(bytes(blob))
 
 
 def test_trailing_bytes_rejected(reference_model):
     blob = save(reference_model)
-    with pytest.raises(TrailingDataError):
+    with pytest.raises(TrailingDataError, match="^1 unexpected trailing bytes$"):
         load(blob + b"\x00")
+    # a layer count of 6 leaves the seventh layer unread in the payload
+    with pytest.raises(TrailingDataError, match=r"^\d+ unexpected trailing payload bytes$"):
+        load(with_payload_bytes(blob, 52 + 10, struct.pack("<H", 6)))
 
 
 @pytest.mark.parametrize("layer_index, shift", [(6, 53), (6, 60), (6, 255), (0, 60)])
@@ -284,8 +307,8 @@ def test_bias_qformat_off_accumulator_scale_rejected_at_load(reference_model, la
     wrong = input_qformat + wq + (1 if layer_index == 0 else 10)
     blob = save(with_fixed_fields(reference_model, layer_index, bias_qformat=wrong))
     with pytest.raises(TruncatedError,
-                       match=rf"layer {layer_index}: bias_qformat {wrong} is not the input "
-                             rf"qformat {input_qformat} plus weights_qformat {wq}$"):
+                       match=rf"^network: layer {layer_index}: bias_qformat {wrong} is not "
+                             rf"the input qformat {input_qformat} plus weights_qformat {wq}$"):
         load(blob)
 
 
@@ -305,9 +328,10 @@ def test_patch_shape_mismatch_rejected_at_load(reference_model):
         load(blob)
 
 
-# Payload offsets in the seed-1 reference model: the network header at 52,
-# layer 0's header at 64, its fixed-point header at 72, its int16 weights at
-# 80, its fold polarity at 784 and layer 1's header at 944.
+# Payload offsets in the seed-1 reference model: the network header at 52
+# (its layer count at 62), layer 0's header at 64, its fixed-point header at
+# 72, its int16 weights at 80, its fold polarity at 784 and layer 1's header
+# at 944.
 @pytest.mark.parametrize("offset, value, message", [
     (64 + 3, b"\x03", "layer 0: stride must be 1 or 2, got 3"),
     (72 + 3, b"\x08", "layer 0: output_bitwidth 8 is not 16 or 32"),
@@ -316,8 +340,11 @@ def test_patch_shape_mismatch_rejected_at_load(reference_model):
     (784, b"\x02", "layer 0: polarity entries must be -1 or \\+1"),
     (944 + 4, struct.pack("<H", 31), "network: layer 1 expects 31 input channels, gets 32"),
     (52 + 8, struct.pack("<H", 27), "network: final layer emits 28 channels, expected 27"),
+    (64, b"\x07", "unknown layer kind code 7"),
+    (72 + 5, b"\x08", "bad weight storage width 8"),
+    (52 + 10, struct.pack("<H", 8), r"payload ends at byte \d+, needed \d+"),
 ], ids=["stride", "output_bitwidth", "has_fold", "accumulator", "polarity",
-        "in_channels", "classes"])
+        "in_channels", "classes", "kind_code", "weight_storage", "layer_count"])
 def test_load_refusals_name_layer_and_field(reference_model, offset, value, message):
     with pytest.raises(TruncatedError, match=message):
         load(with_payload_bytes(save(reference_model), offset, value))
@@ -463,6 +490,20 @@ def test_load_features_peak_memory(recording, frontend_cfg):
     peak = traced_peak(lambda: load_features(blob))
     bound = 20 * 64 * 400 * 4 + 256 * 1024
     assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
+
+
+def test_save_features_refuses_32_bit_patches(frontend_cfg):
+    # int16 storage would wrap 70,000 to 4,464
+    patch = FixedTensor(1, 1, 1, np.array([[[70000]]], dtype=np.int32), 10, 32)
+    with pytest.raises(ValueError, match="feature patches are 16-bit, got bitwidth 32"):
+        save_features(patch, frontend_cfg)
+
+
+def test_feature_bitwidth_other_than_16_rejected(frontend_cfg):
+    # the patch header's bitwidth byte follows the frontend block, the count and the qformat
+    blob = save_features([random_mel_input(np.random.default_rng(0))], frontend_cfg)
+    with pytest.raises(TruncatedError, match="^feature bitwidth 32 is not 16$"):
+        load_features(with_payload_bytes(blob, 52 + 3, b"\x20"))
 
 
 def test_feature_truncation_detected(frontend_cfg):
