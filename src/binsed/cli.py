@@ -95,8 +95,9 @@ def cmd_infer(args) -> int:
     x = frontend.mel_spectrogram(chunk, model.frontend)
     t_frontend = time.perf_counter() - t0
 
+    tiled = args.tiled or args.tiles is not None
     t0 = time.perf_counter()
-    if args.tiled:
+    if tiled:
         tiles = args.tiles if args.tiles is not None \
             else executor.l1_tile_count(model.network)
         plan = executor.plan_tiles(model.network, tiles)
@@ -118,7 +119,7 @@ def cmd_infer(args) -> int:
         "divisor": result.divisor,
         "score_qformat": result.score_qformat,
         "real_scores": [float(s) for s in result.real_scores()],
-        "mode": "tiled" if args.tiled else "monolithic",
+        "mode": "tiled" if tiled else "monolithic",
     }
     if args.json:
         print(json.dumps(payload))
@@ -132,7 +133,7 @@ def cmd_infer(args) -> int:
 
 def cmd_quantize(args) -> int:
     fm = model_io.load_float_model(args.float)
-    model = model_io.quantize_model(fm, weight_bitwidth=args.qformat_bits)
+    model = model_io.quantize_model(fm)
     net = model.network
     try:  # write only what infer will load
         model_io.check_frontend_coupling(net.input_shape, net.input_qformat, model.frontend)
@@ -168,7 +169,7 @@ def _footprint_payload(report: dict) -> list[dict]:
 def cmd_footprint(args) -> int:
     model = model_io.load_file(args.model)
     budget = executor.MemoryBudget()
-    plan = executor.plan_tiles(model.network, args.tiles) if args.tiles else None
+    plan = None if args.tiles is None else executor.plan_tiles(model.network, args.tiles)
     report = executor.footprint(model.network, budget, plan,
                                 weight_mode=args.variant)
     rows = _footprint_payload(report)
@@ -199,10 +200,7 @@ def cmd_footprint(args) -> int:
 
 def cmd_bench(args) -> int:
     model = model_io.load_file(args.model)
-    audio = read_wav(args.wav) if args.wav else None
-    if audio is not None:
-        audio = chunk_audio(audio, model.frontend.patch_samples, all_chunks=False)[0]
-    report = timing.bench(model.network, model.frontend, audio,
+    report = timing.bench(model.network, model.frontend,
                           repetitions=args.reps, threads=args.threads,
                           include_naive=not args.no_naive)
     print(report.to_json_lines() if args.json else report.to_text())
@@ -225,21 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="classify a WAV clip")
     p.add_argument("--model", required=True)
     p.add_argument("--wav", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--tiled", action="store_true")
-    mode.add_argument("--monolithic", dest="tiled", action="store_false")
+    p.add_argument("--tiled", action="store_true",
+                   help="run in tiles: --tiles of them, by default the fewest "
+                        "whose working set fits the 64 KiB L1 budget")
     p.add_argument("--tiles", type=int, default=None,
-                   help="tile count for --tiled (default: the fewest tiles "
-                        "whose working set fits the 64 KiB L1 budget)")
+                   help="tile count (implies --tiled)")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--json", action="store_true")
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_infer, tiled=False)
+    p.set_defaults(fn=cmd_infer)
 
     p = sub.add_parser("quantize", help="float model archive -> quantized model")
     p.add_argument("--float", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--qformat-bits", type=int, default=16, choices=(16, 32))
     p.set_defaults(fn=cmd_quantize)
 
     p = sub.add_parser("gen-model", help="seeded random model on the reference topology")
@@ -262,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="per-layer benchmark report")
     p.add_argument("--model", required=True)
-    p.add_argument("--wav", default=None)
     p.add_argument("--reps", type=int, default=3)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")

@@ -97,16 +97,18 @@ class LayerSpec:
                 FINAL_CONV: "Last Layer"}[self.kind]
 
     def weight_bytes(self, mode: str = "binary") -> int:
-        """Nominal weight storage: packed bits for binary layers, int16 otherwise.
+        """Weight storage: packed bits for binary layers, the stored width
+        (``FixedConvParams.weight_bits``) for fixed-point ones.
 
-        mode='fixed16' prices every layer at 2 bytes/weight (the non-binary
+        mode='fixed16' prices binary layers at 2 bytes/weight (the non-binary
         variant of the same topology).
         """
+        if self.kind != BINARY_CONV:
+            return self.fixed.weights.size * self.fixed.weight_bits // 8
         ky, kx = self.kernel
-        n = self.out_channels * ky * kx * self.in_channels
-        if self.kind == BINARY_CONV and mode == "binary":
+        if mode == "binary":
             return self.out_channels * ky * kx * words_per_pixel(self.in_channels) * 4
-        return n * 2
+        return self.out_channels * ky * kx * self.in_channels * 2
 
     def bookkeeping_bytes(self) -> int:
         """Thresholds (4 B/channel, polarity rides in the word) and biases."""
@@ -227,8 +229,10 @@ def check_input(x: FixedTensor, net: NetworkSpec) -> None:
 
 
 def _workers(threads: int) -> int:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     # oversubscribing the cores only adds contention
-    return min(max(1, threads), os.cpu_count() or 1)
+    return min(threads, os.cpu_count() or 1)
 
 
 def _pin_worker(cpus) -> None:
@@ -401,8 +405,10 @@ def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1) -> Infere
     return run_tiled(x, net, plan, threads)
 
 
-def tile_working_sets(net: NetworkSpec, plan: TilePlan) -> list[dict]:
-    """Per-tile peak working set: activation slabs plus resident weights.
+def tile_working_sets(net: NetworkSpec, plan: TilePlan,
+                      weight_mode: str = "binary") -> list[dict]:
+    """Per-tile peak working set: activation slabs plus resident weights,
+    priced as ``footprint`` prices weight_mode.
 
     Weights are double-buffered: the next layer's weights are priced as
     resident while the current layer runs (the loading overlaps compute).
@@ -417,12 +423,12 @@ def tile_working_sets(net: NetworkSpec, plan: TilePlan) -> list[dict]:
         for l, layer in enumerate(net.layers):
             in_w = intervals[l][1] - intervals[l][0]
             out_w = intervals[l + 1][1] - intervals[l + 1][0]
-            in_bytes = _boundary_bytes(net, l, heights[l], in_w)
-            out_bytes = _boundary_bytes(net, l + 1, heights[l + 1], out_w)
-            wbytes = layer.weight_bytes() + layer.bookkeeping_bytes()
+            in_bytes = _boundary_bytes(net, l, heights[l], in_w, weight_mode)
+            out_bytes = _boundary_bytes(net, l + 1, heights[l + 1], out_w, weight_mode)
+            wbytes = layer.weight_bytes(weight_mode) + layer.bookkeeping_bytes()
             if l + 1 < len(net.layers):
                 nxt = net.layers[l + 1]
-                wbytes += nxt.weight_bytes() + nxt.bookkeeping_bytes()
+                wbytes += nxt.weight_bytes(weight_mode) + nxt.bookkeeping_bytes()
             total = in_bytes + out_bytes + wbytes
             if total > peak:
                 peak, peak_layer = total, l
@@ -431,8 +437,7 @@ def tile_working_sets(net: NetworkSpec, plan: TilePlan) -> list[dict]:
     return reports
 
 
-def _boundary_bytes(net: NetworkSpec, boundary: int, h: int, w: int,
-                    mode: str = "binary") -> int:
+def _boundary_bytes(net: NetworkSpec, boundary: int, h: int, w: int, mode: str) -> int:
     """Nominal storage for the activation map at a layer boundary."""
     if boundary == 0:
         c = net.input_shape[2]
@@ -565,7 +570,7 @@ def footprint(net: NetworkSpec, budget: MemoryBudget | None = None,
         "weight_mode": weight_mode,
     }
     if plan is not None:
-        tiles = tile_working_sets(net, plan)
+        tiles = tile_working_sets(net, plan, weight_mode)
         tile_peak = max(t["peak_bytes"] for t in tiles)
         result["tiles"] = tiles
         result["tile_peak_bytes"] = tile_peak

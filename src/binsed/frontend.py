@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,21 +18,42 @@ from .blas import single_thread
 from .errors import InputFormatError
 from .tensors import FixedTensor, quantize_real
 
-PATCH_SECONDS = 3.2
+# The paper's fixed timing; model and feature files store it, and load refuses
+# any other value.
 SAMPLE_RATE = 16000  # the only rate read_wav accepts; there is no resampling
+WINDOW = 512  # 32 ms
+HOP = 128  # 8 ms
+FRAMES = 400
+PATCH_SAMPLES = FRAMES * HOP
+PATCH_SECONDS = PATCH_SAMPLES / SAMPLE_RATE
 MAX_FFT_WINDOWS = 8  # fft_size cap, so a model file cannot ask for an unbounded spectrum
 # Complex spectrum of one STFT block: 63 frames at fft_size 512, 7 at 4096.
 STFT_BLOCK_BYTES = 256 * 1024
 
 
+def check_timing(sample_rate: int, window: int, hop: int, frames: int) -> None:
+    """Refuse a stored frontend timing other than the fixed one."""
+    if sample_rate != SAMPLE_RATE:
+        raise ValueError(f"sample_rate must be {SAMPLE_RATE} Hz, got {sample_rate}")
+    if window != WINDOW:
+        raise ValueError("window must cover 32 ms")
+    if hop != HOP:
+        raise ValueError("hop must cover 8 ms")
+    if frames != FRAMES:
+        raise ValueError("frames * hop must cover 3.2 s")
+
+
 @dataclass(frozen=True)
 class FrontendConfig:
-    sample_rate: int = SAMPLE_RATE
-    window: int = 512
-    hop: int = 128
+    # the fixed timing, readable from a config like its fields
+    sample_rate: ClassVar[int] = SAMPLE_RATE
+    window: ClassVar[int] = WINDOW
+    hop: ClassVar[int] = HOP
+    frames: ClassVar[int] = FRAMES
+    patch_samples: ClassVar[int] = PATCH_SAMPLES
+
     fft_size: int = 512
     mel_bins: int = 64
-    frames: int = 400
     fmin: float = 0.0
     fmax: float = 8000.0
     log_floor: float = 1e-10
@@ -41,26 +63,13 @@ class FrontendConfig:
     output_qformat: int = 10
 
     def __post_init__(self):
-        if self.sample_rate != SAMPLE_RATE:
-            raise ValueError(f"sample_rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
-        if self.window != round(0.032 * self.sample_rate):
-            raise ValueError("window must cover 32 ms")
-        if self.hop != round(0.008 * self.sample_rate):
-            raise ValueError("hop must cover 8 ms")
-        if self.frames * self.hop != round(PATCH_SECONDS * self.sample_rate):
-            raise ValueError("frames * hop must cover 3.2 s")
-        if not self.window <= self.fft_size <= MAX_FFT_WINDOWS * self.window:
+        if not WINDOW <= self.fft_size <= MAX_FFT_WINDOWS * WINDOW:
             raise ValueError(f"fft_size must be in [window, {MAX_FFT_WINDOWS} * window] = "
-                             f"[{self.window}, {MAX_FFT_WINDOWS * self.window}], "
-                             f"got {self.fft_size}")
-        if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
+                             f"[{WINDOW}, {MAX_FFT_WINDOWS * WINDOW}], got {self.fft_size}")
+        if not (0 <= self.fmin < self.fmax <= SAMPLE_RATE / 2):
             raise ValueError("need 0 <= fmin < fmax <= Nyquist")
         if not 0.0 < self.log_floor < np.inf:
             raise ValueError(f"log_floor must be a finite number > 0, got {self.log_floor}")
-
-    @property
-    def patch_samples(self) -> int:
-        return self.frames * self.hop
 
     @property
     def spectrum_bins(self) -> int:
@@ -78,20 +87,6 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=8)
-def _filterbank_cached(sample_rate, fft_size, mel_bins, fmin, fmax) -> np.ndarray:
-    n_bins = fft_size // 2 + 1
-    bin_hz = np.arange(n_bins) * sample_rate / fft_size
-    edges = mel_to_hz(np.linspace(mel_scale(fmin), mel_scale(fmax), mel_bins + 2))
-    fb = np.zeros((mel_bins, n_bins))
-    for j in range(mel_bins):
-        left, center, right = edges[j], edges[j + 1], edges[j + 2]
-        rising = (bin_hz - left) / (center - left)
-        falling = (right - bin_hz) / (right - center)
-        fb[j] = np.maximum(0.0, np.minimum(rising, falling))
-    fb.flags.writeable = False  # cached and shared by every caller
-    return fb
-
-
 def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     """Triangular Mel filterbank, shape [mel_bins][fft_size/2+1], non-negative.
 
@@ -99,7 +94,16 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     each filter rises linearly (in Hz) from its left neighbor's center and
     falls to its right neighbor's center.  The array is cached and read-only.
     """
-    return _filterbank_cached(cfg.sample_rate, cfg.fft_size, cfg.mel_bins, cfg.fmin, cfg.fmax)
+    bin_hz = np.arange(cfg.spectrum_bins) * SAMPLE_RATE / cfg.fft_size
+    edges = mel_to_hz(np.linspace(mel_scale(cfg.fmin), mel_scale(cfg.fmax), cfg.mel_bins + 2))
+    fb = np.zeros((cfg.mel_bins, cfg.spectrum_bins))
+    for j in range(cfg.mel_bins):
+        left, center, right = edges[j], edges[j + 1], edges[j + 2]
+        rising = (bin_hz - left) / (center - left)
+        falling = (right - bin_hz) / (right - center)
+        fb[j] = np.maximum(0.0, np.minimum(rising, falling))
+    fb.flags.writeable = False  # cached and shared by every caller
+    return fb
 
 
 def stft_block_frames(cfg: FrontendConfig) -> int:
@@ -115,7 +119,7 @@ def _hann(n: int) -> np.ndarray:
     return w
 
 
-def _padded_audio(audio, cfg: FrontendConfig) -> np.ndarray:
+def _padded_audio(audio) -> np.ndarray:
     """Float64 patch, zero-padded to 3.2 s, with ``window // 2`` samples of
     reflect padding on each side, built in one buffer.
 
@@ -125,10 +129,10 @@ def _padded_audio(audio, cfg: FrontendConfig) -> np.ndarray:
     a = np.asarray(audio)
     if a.ndim != 1:
         raise ValueError(f"expected mono audio, got ndim={a.ndim}")
-    total = cfg.patch_samples
+    total = PATCH_SAMPLES
     if len(a) > total:
         raise ValueError(f"audio has {len(a)} samples, patch limit is {total}")
-    half = cfg.window // 2
+    half = WINDOW // 2
     padded = np.zeros(total + 2 * half)
     body = padded[half:half + len(a)]
     if a.dtype == np.int16:
@@ -168,11 +172,11 @@ def stft_power(audio, cfg: FrontendConfig) -> np.ndarray:
     block's windowed frames and its complex spectrum.  Each frame's
     arithmetic does not depend on the block it falls in.
     """
-    padded = _padded_audio(audio, cfg)
-    frames = np.lib.stride_tricks.sliding_window_view(padded, cfg.window)[::cfg.hop][:cfg.frames]
-    power = np.empty((cfg.frames, cfg.spectrum_bins))
+    padded = _padded_audio(audio)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW)[::HOP][:FRAMES]
+    power = np.empty((FRAMES, cfg.spectrum_bins))
     step = stft_block_frames(cfg)
-    for start in range(0, cfg.frames, step):
+    for start in range(0, FRAMES, step):
         _block_power(frames[start:start + step], cfg.fft_size, power[start:start + step])
     return power.T
 

@@ -76,16 +76,16 @@ def popcount_portable(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 
 def resolve_popcount_name(kind: str | None = None) -> str:
-    """Resolve None/'auto' to the platform backend: the native instruction
-    where numpy has one, else the lookup table."""
-    if kind is None or kind == "auto":
+    """Resolve None to the platform backend: the native instruction where
+    numpy has one, else the lookup table."""
+    if kind is None:
         kind = "native" if _HAS_NATIVE else "portable"
     return kind
 
 
 def get_popcount(kind: str | None = None):
-    """Select a popcount backend: 'native', 'portable', or None/'auto' for
-    the platform one.  Both backends are bit-identical.
+    """Select a popcount backend: 'native', 'portable', or None for the
+    platform one.  Both backends are bit-identical.
     """
     kind = resolve_popcount_name(kind)
     if kind == "native":
@@ -200,6 +200,11 @@ def _valid_span(out_len: int, offset: int, stride: int, tap: int, pad: int, size
 MAX_OUTPUT_SHIFT = 52
 
 
+def _max_abs(a: np.ndarray) -> int:
+    # in int64: |INT32_MIN| is not an int32
+    return int(np.abs(a, dtype=np.int64).max(initial=0))
+
+
 @dataclass(frozen=True)
 class FixedConvParams:
     """Quantized conv parameters for the non-binary layers.
@@ -239,12 +244,16 @@ class FixedConvParams:
     def in_channels(self) -> int:
         return self.weights.shape[3]
 
+    @property
+    def weight_bits(self) -> int:
+        """Stored weight width: 16 bits, or 32 when a weight exceeds int16.
+        Files store and footprints price the weights at this width."""
+        return 16 if _max_abs(self.weights) <= signed_range(16)[1] else 32
+
     def accumulator_bound(self, max_abs_input: int) -> int:
         """Worst-case |accumulator| for inputs bounded by max_abs_input."""
         taps = self.weights.shape[1] * self.weights.shape[2] * self.weights.shape[3]
-        wmax = int(np.abs(self.weights).max()) if self.weights.size else 0
-        bmax = int(np.abs(self.bias).max()) if self.bias.size else 0
-        return taps * wmax * max_abs_input + bmax
+        return taps * _max_abs(self.weights) * max_abs_input + _max_abs(self.bias)
 
     def check_accumulator(self, max_abs_input: int) -> None:
         """Reject parameter sets whose worst-case sum exceeds a 32-bit accumulator."""
@@ -448,15 +457,10 @@ class BnFold:
     def apply_bits(self, values: np.ndarray) -> np.ndarray:
         """Bool bits for an integer array whose last axis is channels.
 
-        One comparison against the folded per-channel threshold plus the
-        per-channel flip gives every bit.  The comparison runs in the values'
-        own dtype unless a folded threshold falls outside it, and then in
-        int64.
+        One int64 comparison against the folded per-channel threshold plus
+        the per-channel flip gives every bit.
         """
         folded, flip = self.folded()
-        info = np.iinfo(values.dtype)
-        if info.min <= folded.min(initial=0) and folded.max(initial=0) <= info.max:
-            folded = folded.astype(values.dtype)
         bits = values >= folded
         bits ^= flip
         return bits

@@ -38,7 +38,7 @@ from .executor import (
     LayerSpec,
     NetworkSpec,
 )
-from .frontend import FrontendConfig
+from .frontend import FrontendConfig, check_timing
 from .kernels import BnFold, FixedConvParams, rounding_shift
 from .tensors import (
     FixedTensor,
@@ -206,7 +206,7 @@ def _max_abs_input(kind: str) -> int:
     return signed_range(16)[1] if kind == FIXED_CONV else 1
 
 
-def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int, weight_bitwidth: int,
+def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int,
                           output_bitwidth: int) -> FixedConvParams:
     """Quantize one non-binary conv layer with accumulator-safe qformats.
 
@@ -215,9 +215,9 @@ def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int, weight_bitwidth: i
     smallest that brings that bound into the output bitwidth.
     """
     bias = fl.bias if fl.bias is not None else np.zeros(fl.out_channels)
-    f = choose_qformat(fl.weights, weight_bitwidth)
+    f = choose_qformat(fl.weights)
     while True:
-        w_int, _ = quantize_values(fl.weights, f, weight_bitwidth)
+        w_int, _ = quantize_values(fl.weights, f)
         b_int, _ = quantize_values(bias, input_qformat + f, 32)
         params = FixedConvParams(w_int, f, b_int, input_qformat + f, 0, output_bitwidth)
         bound = params.accumulator_bound(_max_abs_input(fl.kind))
@@ -234,15 +234,15 @@ def _quantize_fixed_layer(fl: FloatLayer, input_qformat: int, weight_bitwidth: i
     return replace(params, output_shift=shift)
 
 
-def quantize_model(fm: FloatModel, frontend: FrontendConfig | None = None,
-                   weight_bitwidth: int = 16) -> Model:
-    """Quantize a float model into a runnable fixed-point/binary network."""
+def quantize_model(fm: FloatModel, frontend: FrontendConfig | None = None) -> Model:
+    """Quantize a float model into a runnable fixed-point/binary network with
+    16-bit weights in its fixed-point layers."""
     cfg = frontend or FrontendConfig()
     in_q = cfg.output_qformat
     specs = []
     for fl in fm.layers:
         if fl.kind == FIXED_CONV:
-            params = _quantize_fixed_layer(fl, in_q, weight_bitwidth, output_bitwidth=16)
+            params = _quantize_fixed_layer(fl, in_q, output_bitwidth=16)
             out_q = in_q + params.weights_qformat - params.output_shift
             fold = fold_batchnorm(fl.gamma, fl.beta, fl.mu, fl.sigma,
                                   value_qformat=out_q, acc_range=signed_range(16))
@@ -258,7 +258,7 @@ def quantize_model(fm: FloatModel, frontend: FrontendConfig | None = None,
                                    fl.out_channels, fl.stride,
                                    weights=packed, fold=fold))
         elif fl.kind == FINAL_CONV:
-            params = _quantize_fixed_layer(fl, 0, weight_bitwidth, output_bitwidth=32)
+            params = _quantize_fixed_layer(fl, 0, output_bitwidth=32)
             specs.append(LayerSpec(fl.kind, fl.kernel, fl.in_channels,
                                    fl.out_channels, fl.stride, fixed=params))
         else:
@@ -371,8 +371,8 @@ def _unpack_frontend(cur: _Cursor) -> FrontendConfig:
     (sr, win, hop, nfft, mels, frames, fmin, fmax, floor,
      logc, out_q, _pad) = cur.unpack(_FRONTEND_FMT)
     try:
-        return FrontendConfig(sr, win, hop, nfft, mels, frames, fmin, fmax, floor,
-                              bool(logc), out_q)
+        check_timing(sr, win, hop, frames)
+        return FrontendConfig(nfft, mels, fmin, fmax, floor, bool(logc), out_q)
     except ValueError as e:
         raise TruncatedError(f"frontend config: {e}") from e
 
@@ -402,13 +402,10 @@ def save(model: Model) -> bytes:
         else:
             p = layer.fixed
             has_fold = 1 if layer.fold is not None else 0
-            # weights are stored at the narrowest width that holds them
-            wmax = int(np.abs(p.weights).max(initial=0))
-            w_store = 16 if wmax <= signed_range(16)[1] else 32
             parts.append(struct.pack(_FIXED_FMT, p.weights_qformat, p.bias_qformat,
                                      p.output_shift, p.output_bitwidth, has_fold,
-                                     w_store, 0))
-            parts.append(np.ascontiguousarray(p.weights, "<i2" if w_store == 16 else "<i4"))
+                                     p.weight_bits, 0))
+            parts.append(np.ascontiguousarray(p.weights, f"<i{p.weight_bits // 8}"))
             parts.append(np.ascontiguousarray(p.bias, "<i4"))
             if layer.fold is not None:
                 parts.append(_pack_fold(layer.fold))

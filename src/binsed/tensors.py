@@ -44,9 +44,6 @@ class BinaryTensor:
     def shape(self) -> tuple[int, int, int]:
         return (self.height, self.width, self.channels)
 
-    def nbytes(self) -> int:
-        return self.words.size * 4
-
 
 @dataclass(frozen=True)
 class FixedTensor:
@@ -87,9 +84,6 @@ class FixedTensor:
         """Dequantize to float64."""
         return self.values.astype(np.float64) * 2.0 ** (-self.qformat)
 
-    def nbytes(self) -> int:
-        return self.values.size * (self.bitwidth // 8)
-
 
 @dataclass(frozen=True)
 class PackedBinaryWeights:
@@ -108,9 +102,6 @@ class PackedBinaryWeights:
         if self.words.dtype != np.uint32:
             raise ValueError(f"word array dtype {self.words.dtype}, expected uint32")
         self.words.flags.writeable = False
-
-    def nbytes(self) -> int:
-        return self.words.size * 4
 
 
 def signed_range(bitwidth: int) -> tuple[int, int]:

@@ -65,7 +65,7 @@ def _median_time(fn, repetitions: int) -> float:
     return statistics.median(times)
 
 
-def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
+def bench(net: NetworkSpec, frontend_cfg=None, repetitions: int = 3,
           threads: int = 1, include_naive: bool = True) -> BenchReport:
     """Per-layer timing report plus packed-vs-naive and popcount comparisons.
 
@@ -80,9 +80,9 @@ def bench(net: NetworkSpec, frontend_cfg=None, audio=None, repetitions: int = 3,
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     cfg = frontend_cfg or FrontendConfig()
-    if audio is None:
-        rng = np.random.default_rng(0)
-        audio = (rng.uniform(-0.5, 0.5, cfg.patch_samples) * 32767).astype(np.int16)
+    # every timed kernel does the same work whatever the audio
+    rng = np.random.default_rng(0)
+    audio = (rng.uniform(-0.5, 0.5, cfg.patch_samples) * 32767).astype(np.int16)
 
     mel_time = _median_time(lambda: mel_spectrogram(audio, cfg), repetitions)
     x = mel_spectrogram(audio, cfg)

@@ -194,6 +194,37 @@ def test_infer_tiled_default_is_l1_tile_count(workdir, capsys, caplog):
                for r in caplog.records)
 
 
+def test_infer_tiles_implies_tiled(workdir, capsys, caplog):
+    caplog.set_level(logging.DEBUG, logger="binsed.executor")
+    assert main(["infer", "--model", str(workdir / "model.bsed"), "--wav",
+                 str(workdir / "tone.wav"), "--tiles", "3", "--threads", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "tiled"
+    assert any("tile plan: 3 tiles, 1 workers" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tiles", "0", "tile count must be in [1, 100], got 0"),
+    ("--threads", "0", "threads must be >= 1, got 0"),
+    ("--threads", "-5", "threads must be >= 1, got -5"),
+], ids=["tiles_0", "threads_0", "threads_minus_5"])
+def test_infer_refuses_counts_below_one(workdir, capsys, flag, value, message):
+    assert main(["infer", "--model", str(workdir / "model.bsed"),
+                 "--wav", str(workdir / "silence.wav"), flag, value]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--model", "m", "--wav", "w", "--monolithic"],
+    ["quantize", "--float", "f", "--out", "o", "--qformat-bits", "32"],
+    ["bench", "--model", "m", "--wav", "w"],
+], ids=["monolithic", "qformat_bits", "bench_wav"])
+def test_retired_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_infer_oracle_flag(workdir, capsys):
     assert main(["infer", "--model", str(workdir / "model.bsed"),
                  "--wav", str(workdir / "silence.wav"), "--oracle", "--json"]) == 0
@@ -237,6 +268,20 @@ def test_footprint_json(workdir, capsys):
     assert total["row"] == "Total"
     assert total["weight_bytes"] == 58176
     assert total["fits_l2"] is True
+
+
+def test_footprint_fixed16_prices_its_tiles(workdir, capsys):
+    # L3's and L4's weights at 2 B each are 884,736 B before any activation
+    assert main(["footprint", "--model", str(workdir / "model.bsed"),
+                 "--variant", "fixed16", "--tiles", "4", "--json"]) == 0
+    total = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert total["tile_peak_bytes"] == 1152000
+    assert total["fits_l1"] is False
+
+
+def test_footprint_zero_tiles_exits_2(workdir, capsys):
+    assert main(["footprint", "--model", str(workdir / "model.bsed"), "--tiles", "0"]) == 2
+    assert "tile count must be in [1, 100], got 0" in capsys.readouterr().err
 
 
 def test_footprint_strict_fixed16_exits_5(workdir, capsys):

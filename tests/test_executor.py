@@ -272,6 +272,16 @@ def test_run_logs_its_tile_plan(reference_model, caplog):
                      "tile plan: 4 tiles, 1 workers, halo 20"]
 
 
+@pytest.mark.parametrize("threads", [0, -5])
+def test_threads_below_one_rejected(reference_model, threads):
+    x = random_mel_input(np.random.default_rng(7))
+    net = reference_model.network
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        run_monolithic(x, net, threads=threads)
+    with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+        run_tiled(x, net, plan_tiles(net, 2), threads=threads)
+
+
 def test_l1_tile_count_is_fewest_tiles_that_fit(reference_model):
     net = reference_model.network
     assert l1_tile_count(net) == 6

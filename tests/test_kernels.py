@@ -53,6 +53,13 @@ def test_popcount_backends_identical_u32():
     assert (popcount_native(words) == popcount_portable(words)).all()
 
 
+def test_popcount_kinds():
+    assert kernels.get_popcount("portable") is popcount_portable
+    assert kernels.resolve_popcount_name() in ("native", "portable")
+    with pytest.raises(ValueError, match="unknown popcount backend 'auto'"):
+        kernels.get_popcount("auto")
+
+
 def test_popcount_backends_identical_u64():
     rng = np.random.default_rng(1)
     words = rng.integers(0, 1 << 63, 10000, dtype=np.int64).astype(np.uint64)

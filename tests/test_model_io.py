@@ -14,6 +14,7 @@ from binsed import (
     binarize_weights,
     choose_qformat,
     fold_batchnorm,
+    footprint,
     gen_random_model,
     load,
     load_features,
@@ -259,7 +260,11 @@ def test_output_shift_at_exact_limit_loads(reference_model):
     ({"sample_rate": 48000, "window": 1536, "hop": 384, "fft_size": 2048},
      "frontend config: sample_rate must be 16000 Hz, got 48000"),
     ({"fft_size": 4097}, r"frontend config: fft_size must be in \[window, 8 \* window\]"),
-], ids=["window", "zero_log_floor", "negative_log_floor", "sample_rate", "fft_size"])
+    ({"hop": 160}, "frontend config: hop must cover 8 ms"),
+    ({"frames": 401}, r"frontend config: frames \* hop must cover 3.2 s"),
+    ({"fmax": 8000.5}, "frontend config: need 0 <= fmin < fmax <= Nyquist"),
+], ids=["window", "zero_log_floor", "negative_log_floor", "sample_rate", "fft_size",
+        "hop", "frames", "fmax"])
 def test_invalid_frontend_config_rejected_at_load(reference_model, fields, message):
     blob = save(with_frontend_fields(reference_model, **fields))
     with pytest.raises(ModelFormatError, match=message):
@@ -406,6 +411,28 @@ def test_gen_model_matches_reference_footprint(reference_model):
 
     report = footprint(reference_model.network)
     assert report["weight_bytes"] == 58176
+
+
+def test_stored_weight_width_is_priced(reference_model):
+    # one weight past int16 makes the final layer store, and price, 4 B per weight
+    weights = reference_model.network.layers[6].fixed.weights.copy()
+    weights[0, 0, 0, 0] = 40000
+    model = with_fixed_fields(reference_model, 6, weights=weights)
+    assert model.network.layers[6].weight_bytes() == 4 * weights.size
+    assert footprint(model.network)["weight_bytes"] == 58176 + 2 * weights.size
+    assert len(save(model)) == len(save(reference_model)) + 2 * weights.size
+    assert load(save(model)).network.layers[6].fixed.weight_bits == 32
+
+
+def test_int32_min_weight_is_stored_and_refused(reference_model):
+    # |INT32_MIN| is not an int32: the width and the accumulator bound see it
+    weights = reference_model.network.layers[6].fixed.weights.copy()
+    weights[0, 0, 0, 0] = -2 ** 31
+    model = with_fixed_fields(reference_model, 6, weights=weights)
+    assert model.network.layers[6].fixed.weight_bits == 32
+    with pytest.raises(TruncatedError, match="^layer 6: weights and bias: worst-case "
+                                             "accumulator 274877910280 overflows"):
+        load(save(model))
 
 
 def test_saved_model_bytes_are_pinned(reference_model):
