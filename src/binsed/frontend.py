@@ -120,11 +120,11 @@ def _hann(n: int) -> np.ndarray:
 
 
 def _padded_audio(audio) -> np.ndarray:
-    """Float64 patch, zero-padded to 3.2 s, with ``window // 2`` samples of
+    """The patch, zero-padded to 3.2 s, with ``window // 2`` samples of
     reflect padding on each side, built in one buffer.
 
-    int16 PCM is scaled by 2**-15 once, straight into the buffer (exact, and
-    the same as dividing by 32768).  Float samples must be finite.
+    int16 PCM stays int16 (2 bytes a sample; _block_power scales it).  Any
+    other samples are copied into a float64 buffer and must be finite.
     """
     a = np.asarray(audio)
     if a.ndim != 1:
@@ -133,12 +133,11 @@ def _padded_audio(audio) -> np.ndarray:
     if len(a) > total:
         raise ValueError(f"audio has {len(a)} samples, patch limit is {total}")
     half = WINDOW // 2
-    padded = np.zeros(total + 2 * half)
+    pcm = a.dtype == np.int16
+    padded = np.zeros(total + 2 * half, dtype=np.int16 if pcm else np.float64)
     body = padded[half:half + len(a)]
-    if a.dtype == np.int16:
-        np.multiply(a, 1.0 / 32768.0, out=body, dtype=np.float64)
-    else:
-        body[:] = a
+    body[:] = a
+    if not pcm:
         finite = np.isfinite(body)
         if not finite.all():
             i = int(np.argmin(finite))
@@ -151,7 +150,13 @@ def _padded_audio(audio) -> np.ndarray:
 
 def _block_power(frames: np.ndarray, fft_size: int, out: np.ndarray) -> None:
     # the block's windowed frames and complex spectrum die on return
-    spectrum = np.fft.rfft(frames * _hann(frames.shape[1]), n=fft_size, axis=1)
+    if frames.dtype == np.int16:
+        # 2**-15 is exact, so these are the samples / 32768 of the float path
+        windowed = np.multiply(frames, 2.0 ** -15, dtype=np.float64)
+        windowed *= _hann(frames.shape[1])
+    else:
+        windowed = frames * _hann(frames.shape[1])
+    spectrum = np.fft.rfft(windowed, n=fft_size, axis=1)
     np.square(spectrum.real, out=out)
     imag = spectrum.imag
     out += np.square(imag, out=imag)
@@ -165,12 +170,14 @@ def stft_power(audio, cfg: FrontendConfig) -> np.ndarray:
     is the caller's job).  Frame t covers ``window`` samples centered at
     t*hop, with reflect padding at the edges.
 
-    Two arrays live for the whole call: the padded audio and the
-    [frames][bins] power buffer, returned transposed.  Frames are strided
-    views of the padded audio; they are windowed, transformed and squared
+    Two arrays live for the whole call: the padded audio (int16 for int16
+    PCM, else float64) and the [frames][bins] power buffer, returned
+    transposed.  Frames are strided views of the padded audio; they are
+    scaled to float64 (PCM only), windowed, transformed and squared
     ``stft_block_frames(cfg)`` at a time, so the only other copies are one
     block's windowed frames and its complex spectrum.  Each frame's
-    arithmetic does not depend on the block it falls in.
+    arithmetic does not depend on the block it falls in, nor on the input
+    dtype: PCM gives the same power as its samples / 32768 given as floats.
     """
     padded = _padded_audio(audio)
     frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW)[::HOP][:FRAMES]

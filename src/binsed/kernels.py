@@ -29,6 +29,7 @@ from .tensors import (
     PackedBinaryWeights,
     _pack_bits,
     signed_range,
+    storage_dtype,
     words_per_pixel,
     write_bits,
 )
@@ -369,7 +370,8 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
 
     out[y][x][k] = rshift_round(sum_in x*w + bias[k], output_shift); output
     spatial dims are ceil(H/stride) x ceil(W/stride).  Zero padding pixels
-    contribute nothing to the sum.
+    contribute nothing to the sum.  The output is written straight into the
+    storage dtype of ``output_bitwidth``.
     """
     out_h, ow, blocks = _fixed_conv_blocks(x, p, stride, col_region)
     # Adding bias and the rounding half, scaling by 2**-shift and flooring
@@ -377,7 +379,8 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
     # and a power-of-two scale is exact.
     shift = p.output_shift
     offset = p.bias.astype(np.float64) + (1 << shift >> 1)
-    out = np.empty((out_h * ow, p.out_channels), dtype=np.int32)
+    # _fixed_conv_blocks refuses any value outside output_bitwidth
+    out = np.empty((out_h * ow, p.out_channels), dtype=storage_dtype(p.output_bitwidth))
     with single_thread():
         for r0, r1, acc in blocks:
             acc += offset
@@ -393,7 +396,7 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
 def conv2d_fixed_sign(x: FixedTensor, p: FixedConvParams, fold: BnFold, stride: int = 1,
                       col_region: ColRegion | None = None) -> BinaryTensor:
     """binarize_sign(conv2d_fixed(x, p), fold), bit for bit, without the
-    int32 output.
+    fixed-point output.
 
     The rescale and the threshold fold into one compare per block of the
     exact float64 sums: with the polarity folded as in BnFold.folded, the bit

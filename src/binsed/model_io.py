@@ -348,9 +348,9 @@ class _Cursor:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, dtype: str, count: int, as_type=np.int32) -> np.ndarray:
-        """count stored ``dtype`` values, converted to a new ``as_type`` array
-        in one copy."""
+    def array(self, dtype: str, count: int, as_type) -> np.ndarray:
+        """count stored ``dtype`` values, converted to a new array of the
+        in-memory ``as_type`` in one copy."""
         raw = self.take(count * np.dtype(dtype).itemsize)
         return np.frombuffer(raw, dtype=dtype).astype(as_type)
 
@@ -382,7 +382,7 @@ def _pack_fold(fold: BnFold) -> bytes:
 
 
 def _unpack_fold(cur: _Cursor, channels: int) -> BnFold:
-    return BnFold(cur.array("<i1", channels), cur.array("<i4", channels))
+    return BnFold(cur.array("<i1", channels, np.int32), cur.array("<i4", channels, np.int32))
 
 
 def save(model: Model) -> bytes:
@@ -453,9 +453,10 @@ def load(data: bytes) -> Model:
                 wq, bq, shift, out_bw, has_fold, w_store, _r = cur.unpack(_FIXED_FMT)
                 if w_store not in (16, 32):
                     raise TruncatedError(f"bad weight storage width {w_store}")
-                wts = cur.array("<i2" if w_store == 16 else "<i4", out_c * ky * kx * in_c)
+                wts = cur.array("<i2" if w_store == 16 else "<i4", out_c * ky * kx * in_c,
+                                np.int32)
                 params = FixedConvParams(wts.reshape(out_c, ky, kx, in_c), wq,
-                                         cur.array("<i4", out_c), bq, shift, out_bw)
+                                         cur.array("<i4", out_c, np.int32), bq, shift, out_bw)
                 # overflow possibility is a load-time check, not a per-element one
                 params.check_accumulator(_max_abs_input(kind))
             fold = _unpack_fold(cur, out_c) if has_fold else None
@@ -557,7 +558,7 @@ def save_features(patches, cfg: FrontendConfig) -> bytes:
             raise ValueError(f"feature patches are 16-bit, got bitwidth {p.bitwidth}")
         if p.shape != first.shape or p.qformat != first.qformat:
             raise ValueError("all patches in one file must share shape and qformat")
-        parts.append(np.ascontiguousarray(p.values, "<i2"))
+        parts.append(np.ascontiguousarray(p.values, "<i2"))  # an int16 patch is its own part
     return _container(FEATURE_MAGIC, parts)
 
 
@@ -571,7 +572,7 @@ def load_features(data: bytes):
         raise TruncatedError(f"feature bitwidth {bitwidth} is not 16")
     patches = []
     for _ in range(count):
-        vals = cur.array("<i2", h * w * c).reshape(h, w, c)
+        vals = cur.array("<i2", h * w * c, np.int16).reshape(h, w, c)
         patches.append(FixedTensor(h, w, c, vals, qformat, bitwidth))
     cur.done()
     return patches, cfg

@@ -6,7 +6,9 @@ encoding -1.  Padding bits past the channel count are always zero so popcount
 arithmetic can be corrected with per-pixel constants instead of per-word masks.
 
 Fixed-point tensors store signed integers together with a Q-format: the real
-value of element n is n * 2**(-qformat).
+value of element n is n * 2**(-qformat).  They are held at their nominal
+width, int16 or int32, so 16-bit features cost 2 bytes per value on the host
+as in the footprint report.
 """
 
 from __future__ import annotations
@@ -50,30 +52,33 @@ class FixedTensor:
     """Signed-integer tensor with Q-format scale, layout [height][width][channels].
 
     Real value of an element is ``int * 2**(-qformat)``.  ``bitwidth`` is the
-    nominal storage width (16 or 32); the array itself is int32 for uniformity
-    but every element is checked to fit the nominal width.  ``saturated``
-    carries the clip count from quantization (informational).
+    storage width, 16 or 32, and ``values`` has its dtype (``storage_dtype``).
+    An array that already has that dtype is kept as it is, with no copy and
+    no scan: the dtype is the range check.  Any other integer array is
+    range-checked, then converted once.
+    ``saturated`` carries the clip count from quantization (informational).
     """
 
     height: int
     width: int
     channels: int
-    values: np.ndarray  # int32 [height][width][channels]
+    values: np.ndarray  # int16 or int32 [height][width][channels]
     qformat: int
     bitwidth: int = 16
     saturated: int = field(default=0, compare=False)
 
     def __post_init__(self):
-        if self.bitwidth not in (16, 32):
-            raise ValueError(f"bitwidth must be 16 or 32, got {self.bitwidth}")
+        dtype = storage_dtype(self.bitwidth)
         expected = (self.height, self.width, self.channels)
         if self.values.shape != expected:
             raise ValueError(f"value array shape {self.values.shape}, expected {expected}")
-        if self.values.dtype != np.int32:
-            raise ValueError(f"value array dtype {self.values.dtype}, expected int32")
-        lo, hi = signed_range(self.bitwidth)
-        if self.values.size and (self.values.min() < lo or self.values.max() > hi):
-            raise ValueError(f"values exceed signed {self.bitwidth}-bit range")
+        if self.values.dtype != dtype:
+            if self.values.dtype.kind not in "iu":
+                raise ValueError(f"value array dtype {self.values.dtype}, expected integers")
+            lo, hi = signed_range(self.bitwidth)
+            if self.values.size and (self.values.min() < lo or self.values.max() > hi):
+                raise ValueError(f"values exceed signed {self.bitwidth}-bit range")
+            object.__setattr__(self, "values", self.values.astype(dtype))
         self.values.flags.writeable = False
 
     @property
@@ -106,6 +111,13 @@ class PackedBinaryWeights:
 
 def signed_range(bitwidth: int) -> tuple[int, int]:
     return -(1 << (bitwidth - 1)), (1 << (bitwidth - 1)) - 1
+
+
+def storage_dtype(bitwidth: int) -> np.dtype:
+    """In-memory dtype of a FixedTensor of this bitwidth: int16 or int32."""
+    if bitwidth not in (16, 32):
+        raise ValueError(f"bitwidth must be 16 or 32, got {bitwidth}")
+    return np.dtype(np.int16 if bitwidth == 16 else np.int32)
 
 
 def write_bits(words: np.ndarray, bits: np.ndarray) -> None:
@@ -171,12 +183,8 @@ def unpack_weights(w: PackedBinaryWeights) -> np.ndarray:
     return (bits.astype(np.int8) * 2 - 1)
 
 
-def quantize_values(values, qformat: int, bitwidth: int = 16) -> tuple[np.ndarray, int]:
-    """Quantize reals to integers at 2**(-qformat) resolution.
-
-    Round to nearest, ties away from zero, saturating silently to the signed
-    range of ``bitwidth``.  Returns (int32 array, saturation count).
-    """
+def _quantize(values, qformat: int, bitwidth: int) -> tuple[np.ndarray, int]:
+    # float64 integers in the signed range of bitwidth, and the clip count
     if qformat < 0:
         raise ValueError(f"qformat must be >= 0, got {qformat}")
     if bitwidth not in (16, 32):
@@ -185,17 +193,28 @@ def quantize_values(values, qformat: int, bitwidth: int = 16) -> tuple[np.ndarra
     q = np.trunc(x + np.copysign(0.5, x))
     lo, hi = signed_range(bitwidth)
     saturated = int(np.count_nonzero((q < lo) | (q > hi)))
-    q = np.clip(q, lo, hi)
+    return np.clip(q, lo, hi), saturated
+
+
+def quantize_values(values, qformat: int, bitwidth: int = 16) -> tuple[np.ndarray, int]:
+    """Quantize reals to integers at 2**(-qformat) resolution.
+
+    Round to nearest, ties away from zero, saturating silently to the signed
+    range of ``bitwidth``.  Returns (int32 array, saturation count).
+    """
+    q, saturated = _quantize(values, qformat, bitwidth)
     return q.astype(np.int32), saturated
 
 
 def quantize_real(values, qformat: int, bitwidth: int = 16) -> FixedTensor:
-    """Quantize a real [H][W][C] (or [H][W]) tensor into a FixedTensor."""
+    """Quantize a real [H][W][C] (or [H][W]) tensor into a FixedTensor, rounded
+    and saturated as quantize_values, straight into its storage dtype."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, None]
     if arr.ndim != 3:
         raise ValueError(f"expected a 2-D or 3-D tensor, got ndim={arr.ndim}")
-    q, saturated = quantize_values(arr, qformat, bitwidth)
+    q, saturated = _quantize(arr, qformat, bitwidth)
     h, w, c = q.shape
-    return FixedTensor(h, w, c, q, qformat, bitwidth, saturated=saturated)
+    return FixedTensor(h, w, c, q.astype(storage_dtype(bitwidth)), qformat, bitwidth,
+                       saturated=saturated)

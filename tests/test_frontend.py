@@ -176,6 +176,25 @@ def test_stft_power_equals_index_gather(length, pcm, fft_size, seed):
     assert p.tobytes() == np.ascontiguousarray(gather_power(audio, cfg)).tobytes()
 
 
+@settings(max_examples=25, deadline=None)
+@given(length=st.integers(1, 51200), level=st.integers(0, 15),
+       fft_size=st.integers(512, 4096), seed=st.integers(0, 2 ** 32 - 1))
+@example(length=51200, level=15, fft_size=4096, seed=1)
+@example(length=1, level=0, fft_size=512, seed=0)
+def test_pcm_and_float_input_give_identical_features(length, level, fft_size, seed):
+    # int16 PCM is padded as int16 and float samples as float64; the same
+    # samples, as PCM or as PCM * 2**-15, must give the same bytes.
+    cfg = FrontendConfig(fft_size=fft_size)
+    rng = np.random.default_rng(seed)
+    pcm = rng.integers(-(1 << level), 1 << level, length, endpoint=True)
+    pcm = np.clip(pcm, -32768, 32767).astype(np.int16)
+    real = pcm * 2.0 ** -15
+    assert stft_power(pcm, cfg).tobytes() == stft_power(real, cfg).tobytes()
+    a, b = mel_spectrogram(pcm, cfg), mel_spectrogram(real, cfg)
+    assert a.values.dtype == b.values.dtype == np.int16
+    assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_mel_spectrogram_peak_memory(frontend_cfg):
     # The padded audio and the power buffer live through the STFT; besides
     # them only one block's windowed frames and complex spectrum may be alive.
@@ -191,7 +210,7 @@ def test_mel_spectrogram_peak_memory(frontend_cfg):
         tracemalloc.stop()
     bins = cfg.spectrum_bins
     power = cfg.frames * bins * 8
-    padded = (cfg.patch_samples + cfg.window) * 8
+    padded = (cfg.patch_samples + cfg.window) * 2  # int16 PCM stays int16
     block = stft_block_frames(cfg) * (cfg.window * 8 + bins * 16)
     bound = power + padded + block + 256 * 1024
     assert bound <= 2 * 2 ** 20

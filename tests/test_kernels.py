@@ -87,6 +87,17 @@ def test_fixed_conv_identity():
     assert y.qformat == 8
 
 
+@pytest.mark.parametrize("bitwidth, dtype", [(16, np.int16), (32, np.int32)])
+def test_fixed_conv_emits_storage_dtype(bitwidth, dtype):
+    rng = np.random.default_rng(4)
+    vals = rng.integers(-3000, 3000, (5, 7, 1)).astype(np.int16)
+    w = rng.integers(-8, 9, (3, 3, 3, 1)).astype(np.int32)  # |sum| < 2**18
+    p = FixedConvParams(w, 4, np.array([9, -7, 0], dtype=np.int32), 12, 3, bitwidth)
+    y = conv2d_fixed(FixedTensor(5, 7, 1, vals, 8, 16), p, 1)
+    assert y.values.dtype == dtype and y.bitwidth == bitwidth
+    assert (y.values == naive_fixed_conv(vals, w, p.bias, 3, 1)).all()
+
+
 def test_fixed_conv_zero_input_is_bias():
     w = np.zeros((3, 1, 1, 2), dtype=np.int32)
     bias = np.array([700, -300, 12], dtype=np.int32)

@@ -465,6 +465,20 @@ def test_features_roundtrip(frontend_cfg):
     assert patches[0].qformat == patch.qformat
 
 
+def test_feature_patches_are_int16_at_their_priced_size(reference_model, frontend_cfg):
+    from binsed import mel_spectrogram
+    from binsed.executor import _boundary_bytes
+
+    audio = (np.random.default_rng(7).uniform(-0.5, 0.5, 51200) * 32767).astype(np.int16)
+    patch = mel_spectrogram(audio, frontend_cfg)
+    (loaded,), _ = load_features(save_features(patch, frontend_cfg))
+    priced = _boundary_bytes(reference_model.network, 0, 64, 400, "binary")
+    assert priced == 51_200
+    for p in (patch, loaded):
+        assert p.values.dtype == np.int16
+        assert p.values.nbytes == priced
+
+
 def test_saved_feature_bytes_are_pinned(frontend_cfg):
     rng = np.random.default_rng(8)
     blob = save_features([random_mel_input(rng) for _ in range(3)], frontend_cfg)
@@ -501,21 +515,22 @@ def extract(recording, cfg):
 
 
 def test_extract_peak_memory(recording, frontend_cfg):
-    # The int32 patches, the payload's int16 parts and the joined file are
-    # the large arrays; the container is written without a further copy.
+    # The int16 patches, which are the payload's parts as they are, and the
+    # joined file are the large arrays; the container is written without a
+    # further copy.
     blob = extract(recording, frontend_cfg)  # warm-up: window and filterbank caches
     peak = traced_peak(lambda: extract(recording, frontend_cfg))
-    patches = 20 * 64 * 400 * 4
+    patches = 20 * 64 * 400 * 2
     bound = patches + 2 * len(blob) + 256 * 1024
     assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
 def test_load_features_peak_memory(recording, frontend_cfg):
-    # Only the int32 patches themselves: the payload is read through a view
-    # and each patch converted from int16 in one copy.
+    # Only the int16 patches themselves: the payload is read through a view
+    # and each patch copied out of it once, with no widening.
     blob = extract(recording, frontend_cfg)
     peak = traced_peak(lambda: load_features(blob))
-    bound = 20 * 64 * 400 * 4 + 256 * 1024
+    bound = 20 * 64 * 400 * 2 + 256 * 1024
     assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 

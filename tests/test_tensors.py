@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from binsed import (
     BinaryTensor,
+    FixedTensor,
     pack,
     pack_weights,
     quantize_real,
@@ -138,3 +139,50 @@ def test_quantize_real_builds_tensor():
 def test_quantize_real_reports_saturation():
     t = quantize_real(np.array([[300.7, 0.0]]), 8, 16)
     assert t.saturated == 1
+
+
+@pytest.mark.parametrize("bitwidth, dtype", [(16, np.int16), (32, np.int32)])
+def test_quantize_real_emits_storage_dtype(bitwidth, dtype):
+    t = quantize_real(np.array([[300.7, -1.5]]), 8, bitwidth)
+    assert t.values.dtype == dtype
+    assert t.values.ravel().tolist() == ([32767, -384] if bitwidth == 16 else [76979, -384])
+
+
+def test_quantize_values_stays_int32():
+    q, _ = quantize_values([1.0, -1.0], 8, 16)
+    assert q.dtype == np.int32
+
+
+class _NoScan(np.ndarray):
+    def min(self, *args, **kwargs):
+        raise AssertionError("range scan")
+
+    max = min
+
+
+def test_fixed_tensor_keeps_storage_dtype_array():
+    # no copy and no min/max scan: the dtype is the range check
+    vals = np.arange(-6, 6, dtype=np.int16).reshape(2, 3, 2).view(_NoScan)
+    t = FixedTensor(2, 3, 2, vals, 8, 16)
+    assert t.values is vals
+    assert not vals.flags.writeable
+    wide = np.zeros((1, 1, 1), dtype=np.int32).view(_NoScan)
+    assert FixedTensor(1, 1, 1, wide, 8, 32).values is wide
+
+
+def test_fixed_tensor_narrows_in_range_int32():
+    vals = np.array([[[-32768], [32767]]], dtype=np.int32)
+    t = FixedTensor(1, 2, 1, vals, 0, 16)
+    assert t.values.dtype == np.int16
+    assert t.values.ravel().tolist() == [-32768, 32767]
+
+
+@pytest.mark.parametrize("v", [32768, -32769, 70000])
+def test_fixed_tensor_refuses_wider_values(v):
+    with pytest.raises(ValueError, match="values exceed signed 16-bit range"):
+        FixedTensor(1, 1, 1, np.array([[[v]]], dtype=np.int32), 0, 16)
+
+
+def test_fixed_tensor_refuses_non_integer_values():
+    with pytest.raises(ValueError, match="value array dtype float64, expected integers"):
+        FixedTensor(1, 1, 1, np.zeros((1, 1, 1)), 0, 16)
