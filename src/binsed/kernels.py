@@ -4,9 +4,10 @@ batch-norm threshold activation, sign binarization, global average pooling.
 All kernels are pure integer functions over immutable inputs and run
 single-threaded; the executor parallelizes over tiles, never inside a
 kernel.  Convolutions use "same" zero padding geometry.  For the binary
-path, taps falling outside the image are excluded from the accumulation (a
-zero pad word would wrongly contribute -1 per channel under the {0 -> -1}
-encoding).
+path, taps falling outside the image are excluded from the result (a zero
+pad word would wrongly contribute -1 per channel under the {0 -> -1}
+encoding): the kernel reads their zero words like any other tap and takes
+what they add back out per border rectangle.
 
 Every kernel accepts an optional column region so the tiled executor can
 compute an exact slice of the monolithic output from an input slab: window
@@ -489,10 +490,22 @@ def threshold_activation(acc: np.ndarray, fold: BnFold) -> BinaryTensor:
 # ---------------------------------------------------------------------------
 
 
-def _runs(counts: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, end, value) for each run of equal entries of a 1-D array."""
-    cuts = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(counts)]
-    return [(a, b, int(counts[a])) for a, b in zip(cuts, cuts[1:])]
+def _tap_runs(spans, length: int) -> tuple[list[int], np.ndarray]:
+    """Runs of output indices along one axis with equal sets of in-image
+    taps, from each tap's valid span: (cuts, valid), run i covering
+    [cuts[i], cuts[i + 1]) with valid[i] its [taps] bool mask.  Every cut
+    is where some tap's span starts or ends, so neighbouring runs differ."""
+    cuts = sorted({0, length, *(end for a, b in spans if a < b for end in (a, b))})
+    valid = np.array([[a <= y < b for a, b in spans] for y in cuts[:-1]], dtype=bool)
+    return cuts, valid
+
+
+def _xor_bufsize(m: int) -> int:
+    """Ufunc buffer size for the [out][1] ^ [m] xor: twice the row, rounded
+    up to a multiple of 16 and capped at 2**20, as numpy accepts.  Under
+    numpy's default 8,192-element buffer an inner row shorter than about a
+    third of it goes through the buffer and the xor runs at half speed."""
+    return min(-(-2 * m // 16) * 16, 1 << 20)
 
 
 def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
@@ -500,15 +513,27 @@ def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
     """Check a binary conv and set up its accumulation loop, shared by
     conv2d_binary and conv2d_binary_threshold.
 
-    Returns (out_h, out_w, vy, vx, blocks).  Output position (y, x) has
-    vy[y] * vx[x] in-image taps.  ``blocks`` yields (r0, r1, pc) for each
-    block of output rows [r0, r1): pc [r1 - r0][out_w][out] sums
-    popcount(input ^ filter) over in-image taps and channel words, in a
-    buffer the next block overwrites.  Within a block the loop runs over
-    taps and words, each one xor into a reused buffer of at most
-    BLOCK_BYTES, one popcount into a reused uint8 buffer, and one add, so
-    the ufunc calls per tile stay few while no temporary grows with the
-    feature map.
+    Returns (out_h, out_w, pc_dtype, v, corr, blocks).  The loop is channel
+    major: ``blocks`` yields (r0, r1, pc, parts, spare) for each block of
+    output rows [r0, r1), where pc [out][r1 - r0][out_w] sums
+    popcount(input ^ filter) over every tap and channel word, in a buffer
+    the next block overwrites.  Per tap and word, the strided input window
+    is copied into one contiguous row of the block's m positions, xored
+    against the filter's [out][1] column into a full-extent [out][m] buffer,
+    popcounted into a uint8 buffer and added; the wide inner axis is the
+    positions, so each ufunc runs over long rows whatever the tile.  The
+    buffers are sized once per call to keep the xor block within
+    BLOCK_BYTES, so no temporary grows with the feature map.
+
+    Taps outside the image read the slab's zero words, so each adds
+    popcount(filter tap) to pc rather than nothing.  The output splits into
+    rectangles of equal sets of in-image taps; rectangle r has v[r]
+    in-image taps, and corr[r] [out] is the int64 popcount(filter tap) sum
+    over its out-of-image taps, so that the in-image sum is pc - corr[r].
+    ``parts`` lists (r, ys, xs) for each rectangle r that meets the block:
+    its rows, local to the block, and columns.  ``spare`` is two flat uint8
+    views, each of at least pc.size bytes, of the xor and popcount buffers,
+    which are dead once pc is yielded.
     """
     if x.channels != w.in_channels:
         raise ValueError(f"input has {x.channels} channels, weights expect {w.in_channels}")
@@ -531,50 +556,56 @@ def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
     # The sum is at most ky*kx*channels; uint16 while that stays below the
     # dtype's maximum, so a threshold bound of sum + 1 still fits.
     pc_dtype = np.uint16 if ky * kx * x.channels < (1 << 16) - 1 else np.uint32
-    # The channel-word loop stays outside the broadcast so the wide inner axis
-    # is the output channels, kept contiguous on both operands so the xor and
-    # popcount loops vectorize.  wt is [ky][kx][word][oc].
-    wt = np.ascontiguousarray(wwords.transpose(1, 2, 3, 0))
-    row_spans = [_valid_span(out_h, 0, stride, dy, pt, x.height) for dy in range(ky)]
-    col_spans = [_valid_span(ow, region.out_lo, stride, dx, pl, region.full_width)
-                 for dx in range(kx)]
-    # The valid-tap count factors into independent row and column counts.
-    vy = np.zeros(out_h, dtype=np.int32)
-    vx = np.zeros(ow, dtype=np.int32)
-    for y0, y1 in row_spans:
-        vy[y0:y1] += 1
-    for c0, c1 in col_spans:
-        vx[c0:c1] += 1
+    wt = np.ascontiguousarray(wwords.transpose(1, 2, 3, 0))  # [ky][kx][word][out]
+
+    row_cuts, row_valid = _tap_runs(
+        [_valid_span(out_h, 0, stride, dy, pt, x.height) for dy in range(ky)], out_h)
+    col_cuts, col_valid = _tap_runs(
+        [_valid_span(ow, region.out_lo, stride, dx, pl, region.full_width)
+         for dx in range(kx)], ow)
+    rects = [(y0, y1, slice(c0, c1)) for y0, y1 in zip(row_cuts, row_cuts[1:])
+             for c0, c1 in zip(col_cuts, col_cuts[1:])]
+    v = np.outer(row_valid.sum(axis=1), col_valid.sum(axis=1)).ravel()
+    tap_pc = popcount_fn(wt).sum(axis=2, dtype=np.int64)  # [ky][kx][out]
+    in_image = col_valid @ (row_valid @ tap_pc.reshape(ky, -1)).reshape(-1, kx, oc)
+    corr = tap_pc.sum(axis=(0, 1)) - in_image.reshape(-1, oc)
 
     rows = _block_rows(out_h, ow * oc * slab.itemsize)
     size = rows * ow * oc
     pc_buf = np.empty(size, dtype=pc_dtype)
     xor_buf = np.empty(size, dtype=slab.dtype)
     count_buf = np.empty(size, dtype=np.uint8)
+    win_buf = np.empty(rows * ow, dtype=slab.dtype)
+    spare = xor_buf.view(np.uint8), count_buf
 
     def blocks():
         for r0 in range(0, out_h, rows):
             r1 = min(r0 + rows, out_h)
-            pc = pc_buf[:(r1 - r0) * ow * oc].reshape(r1 - r0, ow, oc)
+            n = r1 - r0
+            m = n * ow
+            pc = pc_buf[:oc * m].reshape(oc, m)
+            xor = xor_buf[:oc * m].reshape(oc, m)
+            count = count_buf[:oc * m].reshape(oc, m)
+            win = win_buf[:m]
+            bufsize = _xor_bufsize(m)
             pc.fill(0)
-            for dy, (y0, y1) in enumerate(row_spans):
-                y0, y1 = max(y0, r0), min(y1, r1)
-                for dx, (c0, c1) in enumerate(col_spans):
-                    if y0 >= y1 or c0 >= c1:
-                        continue
-                    shape = (y1 - y0, c1 - c0, oc)
-                    n = shape[0] * shape[1] * oc
-                    xor = xor_buf[:n].reshape(shape)
-                    count = count_buf[:n].reshape(shape)
-                    target = pc[y0 - r0:y1 - r0, c0:c1]
-                    win = slab[dy + y0 * stride:dy + (y1 - 1) * stride + 1:stride,
-                               dx + c0 * stride:dx + (c1 - 1) * stride + 1:stride]
+            for dy in range(ky):
+                for dx in range(kx):
+                    window = slab[dy + r0 * stride:dy + (r1 - 1) * stride + 1:stride,
+                                  dx:dx + (ow - 1) * stride + 1:stride]
                     for wi in range(slab.shape[-1]):
-                        np.bitwise_xor(win[:, :, wi, None], wt[dy, dx, wi], out=xor)
-                        target += popcount_fn(xor, out=count)
-            yield r0, r1, pc
+                        np.copyto(win.reshape(n, ow), window[:, :, wi])
+                        old = np.setbufsize(bufsize)
+                        try:
+                            np.bitwise_xor(wt[dy, dx, wi, :, None], win, out=xor)
+                        finally:
+                            np.setbufsize(old)
+                        pc += popcount_fn(xor, out=count)
+            parts = [(i, slice(max(y0, r0) - r0, min(y1, r1) - r0), xs)
+                     for i, (y0, y1, xs) in enumerate(rects) if y0 < r1 and r0 < y1]
+            yield r0, r1, pc.reshape(oc, n, ow), parts, spare
 
-    return out_h, ow, vy, vx, blocks()
+    return out_h, ow, pc_dtype, v, corr, blocks()
 
 
 def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
@@ -586,14 +617,18 @@ def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
     the +-1 dot product between input pixel and filter tap: per 32-channel
     word a tap contributes 32 - 2*popcount(i ^ w), and using the true channel
     count instead of 32*words compensates the zeroed padding bits exactly.
-    Border taps outside the image are excluded from the sum, which reduces to
-    a separable per-position valid-tap count times the channel count.
+    Border taps outside the image are excluded from the sum: with v in-image
+    taps and corr the popcount their zero words added, the result is
+    C*v - 2*(pc - corr), one constant per channel and border rectangle.
     """
-    out_h, ow, vy, vx, blocks = _binary_conv_blocks(x, w, stride, col_region, popcount)
+    out_h, ow, _, v, corr, blocks = _binary_conv_blocks(x, w, stride, col_region, popcount)
+    offsets = (x.channels * v[:, None] + 2 * corr).astype(np.int32)
     acc = np.empty((out_h, ow, w.out_channels), dtype=np.int32)
-    for r0, r1, pc in blocks:
-        np.multiply(pc, np.int32(-2), out=acc[r0:r1])
-        acc[r0:r1] += x.channels * (vy[r0:r1, None] * vx)[:, :, None]
+    for r0, r1, pc, parts, _ in blocks:
+        block = acc[r0:r1]
+        np.multiply(pc.transpose(1, 2, 0), np.int32(-2), out=block)
+        for i, ys, xs in parts:
+            block[ys, xs] += offsets[i]
     return acc
 
 
@@ -604,32 +639,34 @@ def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFol
     from the popcount sums.
 
     With the polarity folded as in BnFold.folded, C channels, v in-image taps
-    and pc the popcount sum, the accumulator is C*v - 2*pc and
-    C*v - 2*pc >= t  <=>  pc < floor((C*v - t) / 2) + 1.  That bound, clipped
-    to [0, C*v + 1] and cast to the popcount's dtype, depends on v alone, and
-    v differs from ky*kx only on border rows and columns: each block is
-    compared in the few rectangles of constant v, then flipped and packed.
-    No int32 accumulator is built.
+    and s the in-image popcount sum, the accumulator is C*v - 2*s and
+    C*v - 2*s >= t  <=>  s < floor((C*v - t) / 2) + 1.  That bound is
+    clipped to [0, C*v + 1], which keeps the equivalence for s in [0, C*v].
+    The block's sum pc also counts the zero words read by out-of-image taps,
+    s = pc - corr, so each border rectangle compares pc against its bound
+    plus corr, which still fits the popcount's dtype.  The compare writes
+    bools [out][rows][cols] into the dead xor buffer; the flip, xored on
+    the transpose into the dead popcount buffer, leaves channels last for
+    the pack.  No int32 accumulator and no bool block is allocated.
     """
     if fold.channels != w.out_channels:
         raise ValueError(f"layer has {w.out_channels} channels, fold has {fold.channels}")
-    out_h, ow, vy, vx, blocks = _binary_conv_blocks(x, w, stride, col_region, popcount)
+    out_h, ow, pc_dtype, v, corr, blocks = _binary_conv_blocks(
+        x, w, stride, col_region, popcount)
     folded, flip = fold.folded()
-    c = x.channels
-    col_runs = _runs(vx)
-    bounds = {}
-    words = np.zeros((out_h, ow, words_per_pixel(w.out_channels)), dtype="<u4")
-    for r0, r1, pc in blocks:
-        bits = np.empty(pc.shape, dtype=bool)
-        for y0, y1, ty in _runs(vy[r0:r1]):
-            for c0, c1, tx in col_runs:
-                v = ty * tx
-                if v not in bounds:
-                    bounds[v] = np.clip((c * v - folded) // 2 + 1, 0, c * v + 1).astype(pc.dtype)
-                np.less(pc[y0:y1, c0:c1], bounds[v], out=bits[y0:y1, c0:c1])
-        bits ^= flip
-        write_bits(words[r0:r1], bits)
-    return BinaryTensor(out_h, ow, w.out_channels, words.astype(np.uint32, copy=False))
+    cv = x.channels * v[:, None]
+    bounds = np.clip((cv - folded) // 2 + 1, 0, cv + 1) + corr
+    bounds = bounds.astype(pc_dtype)[:, :, None, None]  # [rect][out][1][1]
+    oc = w.out_channels
+    words = np.zeros((out_h, ow, words_per_pixel(oc)), dtype="<u4")
+    for r0, r1, pc, parts, (spare_a, spare_b) in blocks:
+        bits = spare_a[:pc.size].view(bool).reshape(pc.shape)
+        for i, ys, xs in parts:
+            np.less(pc[:, ys, xs], bounds[i], out=bits[:, ys, xs])
+        flipped = spare_b[:pc.size].view(bool).reshape(r1 - r0, ow, oc)
+        np.bitwise_xor(bits.transpose(1, 2, 0), flip, out=flipped)
+        write_bits(words[r0:r1], flipped)
+    return BinaryTensor(out_h, ow, oc, words.astype(np.uint32, copy=False))
 
 
 # ---------------------------------------------------------------------------

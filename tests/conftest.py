@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ def random_mel_input(rng, cfg=None) -> FixedTensor:
     vals = rng.integers(-24000, 16000, (cfg.mel_bins, cfg.frames, 1), dtype=np.int64)
     return FixedTensor(cfg.mel_bins, cfg.frames, 1, vals.astype(np.int32),
                        cfg.output_qformat, 16)
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak of one call of fn above what was live before it,
+    after one warm-up call (filterbank, popcount table and BLAS binding)."""
+    fn()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def with_fixed_fields(model, layer_index: int, **fields):

@@ -1,7 +1,7 @@
 import dataclasses
 import json
 import logging
-import tracemalloc
+import threading
 
 import numpy as np
 import pytest
@@ -32,12 +32,17 @@ from binsed.executor import (
     _backward_intervals,
     l1_tile_count,
 )
-from binsed import kernels
+from binsed import executor, kernels
 from binsed.kernels import BLOCK_BYTES, BnFold, rounding_shift
 from binsed.model_io import gen_random_float_model, quantize_model
 from binsed.oracle import reference_network_run
 from binsed.tensors import FixedTensor, pack_weights
-from tests.conftest import binary_first_layers, random_mel_input, small_topologies
+from tests.conftest import (
+    binary_first_layers,
+    random_mel_input,
+    small_topologies,
+    traced_peak,
+)
 
 
 def test_shape_chain(reference_model):
@@ -213,24 +218,14 @@ def test_tiling_theorem_over_random_topologies(case):
             f"monolithic threads={threads}"
 
 
-def traced_peak(fn) -> int:
-    fn()  # warm-up: filterbank, popcount table and BLAS binding
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("tiles, threads", [(1, 1), (2, 2)])
 def test_inference_peak_memory(reference_model, tiles, threads):
     # A binarizing layer writes packed bits from its accumulation blocks, so
     # a running tile holds at most one layer's block buffers (two blocks'
-    # worth: im2col and product, or xor plus the narrower popcount, sum and
-    # bool blocks), the final layer's dense int32 input with its slab and
-    # unpack temporaries, and small change.  All tiles may peak at once.
+    # worth: im2col and product, or xor plus the narrower popcount and sum
+    # blocks, whose dead buffers take the bools), the final layer's dense
+    # int32 input with its slab and unpack temporaries, and small change.
+    # All tiles may peak at once.
     net = reference_model.network
     x = random_mel_input(np.random.default_rng(15))
     plan = plan_tiles(net, tiles)
@@ -260,6 +255,27 @@ def test_even_kernels_tile_at_any_count():
     for tiles in range(1, 21):
         assert (run_tiled(x, net, plan_tiles(net, tiles), 2).scores == sums).all()
     assert (run_monolithic(x, net, threads=2).scores == sums).all()
+
+
+def test_tile_workers_keep_bufsize(reference_model, monkeypatch):
+    # Each binary layer scopes a small ufunc buffer to its xors; in every
+    # tile worker the buffer size after the layer must be what it was before.
+    seen = []
+    conv = executor.conv2d_binary_threshold
+
+    def spy(*args, **kwargs):
+        before = np.getbufsize()
+        out = conv(*args, **kwargs)
+        seen.append((threading.get_ident(), before, np.getbufsize()))
+        return out
+
+    monkeypatch.setattr(executor, "conv2d_binary_threshold", spy)
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    net = reference_model.network
+    run_tiled(random_mel_input(np.random.default_rng(18)), net, plan_tiles(net, 4), 2)
+    assert len(seen) == 4 * 5
+    assert all(before == after for _, before, after in seen)
+    assert threading.get_ident() not in {ident for ident, _, _ in seen}
 
 
 def test_run_logs_its_tile_plan(reference_model, caplog):

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,8 +31,9 @@ from binsed.kernels import (
     rounding_shift,
     same_pad,
 )
+from binsed.executor import run_layer
 from binsed.oracle import naive_binary_conv, naive_fixed_conv
-from tests.conftest import random_mel_input
+from tests.conftest import random_mel_input, traced_peak
 
 
 def fold(polarity, threshold):
@@ -493,18 +494,26 @@ def random_thresholds(rng, values: np.ndarray, oc: int) -> np.ndarray:
 
 @st.composite
 def fused_cases(draw):
-    """Shape, kernel, stride, block size (1 B forces one row per block) and seed."""
+    """Shape, kernel, stride, block size (1 B forces one row per block) and
+    seed.  Kernels of up to 5x5 over maps from 1x1 make many maps smaller
+    than their kernel and most positions border positions."""
     h, w = draw(st.integers(1, 6)), draw(st.integers(1, 9))
     c, oc = draw(st.integers(1, 70)), draw(st.integers(1, 40))
-    ky, kx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ky, kx = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     stride = draw(st.sampled_from((1, 2)))
     block = draw(st.sampled_from((1, 4096, kernels.BLOCK_BYTES)))
     return h, w, c, oc, ky, kx, stride, block, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(fused_cases(), st.sampled_from(("native", "portable")))
+# 2 rows under a 3-row kernel: both rows have 2 in-image taps, not the same two
+@example((2, 2, 40, 5, 3, 3, 1, kernels.BLOCK_BYTES, 3), "native")
+@example((1, 2, 33, 7, 5, 4, 1, 1, 4), "portable")
 def test_fused_binary_threshold_matches_unfused(case, popcount):
+    # Out-of-image taps read zero words and drop out through per-rectangle
+    # corrections: unfused must match the naive sum over in-image taps, and
+    # fused must match thresholding the unfused accumulator.
     h, w, c, oc, ky, kx, stride, block, seed = case
     rng = np.random.default_rng(seed)
     dense = rng.choice([-1, 1], (h, w, c)).astype(np.int8)
@@ -546,6 +555,51 @@ def test_fused_fixed_sign_matches_unfused(case, shift):
     want = binarize_sign(y, f)
     assert got.shape == want.shape
     assert (got.words == want.words).all()
+
+
+def test_xor_bufsize_restored():
+    # The binary conv scopes a small ufunc buffer to each xor; the caller's
+    # buffer size must survive every return, also through an exception.
+    rng = np.random.default_rng(16)
+    x = pack(rng.choice([-1, 1], (6, 9, 64)).astype(np.int8))
+    w = pack_weights(rng.choice([-1, 1], (8, 3, 3, 64)).astype(np.int8))
+    f = fold(rng.choice([-1, 1], 8), rng.integers(-50, 50, 8))
+    default = np.getbufsize()
+    conv2d_binary_threshold(x, w, f)
+    assert np.getbufsize() == default
+    conv2d_binary(x, w)
+    assert np.getbufsize() == default
+    for conv in (conv2d_binary, lambda x, w: conv2d_binary_threshold(x, w, f)):
+        with mock.patch.object(np, "bitwise_xor", side_effect=RuntimeError("xor failed")):
+            with pytest.raises(RuntimeError, match="xor failed"):
+                conv(x, w)
+        assert np.getbufsize() == default
+
+
+@pytest.mark.parametrize("layer_index", [1, 2])
+def test_fused_binary_layer_peak(reference_model, layer_index):
+    # A fused binary layer holds its packed output, the zero-extended input
+    # slab and three block buffers: the xor words, their uint8 popcounts and
+    # the running sums.  Its bools go into the dead xor and popcount
+    # buffers, so one bool block more (block bytes) would break the bound.
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(17))
+    for layer in net.layers[:layer_index]:
+        x = run_layer(layer, x, None)
+    layer = net.layers[layer_index]
+    ky, kx = layer.weights.ky, layer.weights.kx
+    out_h, pt, pb = same_pad(x.height, ky, layer.stride)
+    out_w, pl, pr = same_pad(x.width, kx, layer.stride)
+    oc = layer.weights.out_channels
+    in_words = x.words.shape[-1]
+    word_bytes = 8 if in_words % 2 == 0 else 4
+    slab = (x.height + pt + pb) * (x.width + pl + pr) * in_words * 4
+    block = kernels._block_rows(out_h, out_w * oc * word_bytes) * out_w * oc
+    out = out_h * out_w * -(-oc // 32) * 4
+    peak = traced_peak(
+        lambda: conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride))
+    bound = out + slab + block * (word_bytes + 1 + 2) + 128 * 1024
+    assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
 @pytest.mark.parametrize("conv", [
