@@ -2,7 +2,7 @@
 
 The only BLAS calls on the inference path are the frontend's filterbank
 product and the im2col matmul of ``conv2d_fixed``.  Both are small, and the
-executor's tile workers (``threads=``, one pool per run over time-axis
+executor's tile workers (``threads=``, a persistent pool over time-axis
 tiles) are the package's only parallelism, so OpenBLAS worker threads there
 only compete for the same cores.
 ``single_thread()`` lowers the OpenBLAS that numpy loaded to one thread and

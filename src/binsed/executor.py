@@ -1,8 +1,11 @@
 """Network descriptors and end-to-end execution.  There is one executor:
 tiles along the time axis, each extended by a derived halo so every plan is
 bit-exact, with threads running over tiles only.  Monolithic execution is
-the plan with one tile per worker.  Also MAC accounting and memory
-footprint reporting; the timing report lives in timing.py.
+the plan with one tile per worker.  Each (network, tile plan) prepares its
+layer steps once, on its first run, and every later run reuses them (see
+_Prepared); tiles run on one persistent pool per worker count.  Also MAC
+accounting and memory footprint reporting; the timing report lives in
+timing.py.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import itertools
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +29,9 @@ from .kernels import (
     conv2d_fixed_sign,
     global_avg_pool,
     predict,
+    prepare_binary_conv,
+    prepare_fixed_conv,
+    resolve_popcount_name,
     same_pad,
 )
 from .tensors import FixedTensor, PackedBinaryWeights, unpack, words_per_pixel
@@ -202,19 +209,34 @@ class InferenceResult:
         return self.scores * 2.0 ** (-self.score_qformat) / self.divisor
 
 
-def run_layer(layer: LayerSpec, x, region: ColRegion | None):
+def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None):
     """One layer as inference runs it, over the columns region names (the
-    whole map when None)."""
+    whole map when None).  ``step`` is the layer's prepare_layer step for
+    this input shape and region, or None to build it in the call."""
     # A binarizing layer's only output is bits, so its threshold runs fused
     # into the conv's own accumulation blocks.
     if layer.kind == FIXED_CONV:
-        return conv2d_fixed_sign(x, layer.fixed, layer.fold, layer.stride, region)
+        return conv2d_fixed_sign(x, layer.fixed, layer.fold, layer.stride, region,
+                                 prepared=step)
     if layer.kind == BINARY_CONV:
-        return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride, region)
+        return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride, region,
+                                       prepared=step)
     # final layer: +-1 activations become fixed-point values at qformat 0
     dense = unpack(x).astype(np.int32)
     ft = FixedTensor(x.height, x.width, x.channels, dense, 0, 32)
-    return conv2d_fixed(ft, layer.fixed, layer.stride, region)
+    return conv2d_fixed(ft, layer.fixed, layer.stride, region, prepared=step)
+
+
+def prepare_layer(layer: LayerSpec, x, region: ColRegion | None):
+    """The step run_layer reuses for inputs shaped like x over region: the
+    layer's checks and tables, none of which depend on x's values."""
+    if layer.kind == FIXED_CONV:
+        return prepare_fixed_conv(x.shape, x.qformat, layer.fixed, layer.stride, region,
+                                  layer.fold)
+    if layer.kind == BINARY_CONV:
+        return prepare_binary_conv(x.shape, layer.weights, layer.stride, region,
+                                   fold=layer.fold)
+    return prepare_fixed_conv(x.shape, 0, layer.fixed, layer.stride, region)
 
 
 def check_input(x: FixedTensor, net: NetworkSpec) -> None:
@@ -228,11 +250,19 @@ def check_input(x: FixedTensor, net: NetworkSpec) -> None:
             f"{net.input_qformat}")
 
 
+def _cpus() -> tuple[int, ...] | None:
+    """The CPUs this process may run on, where the platform can tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return tuple(sorted(os.sched_getaffinity(0)))
+    return None
+
+
 def _workers(threads: int) -> int:
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    # oversubscribing the cores only adds contention
-    return min(threads, os.cpu_count() or 1)
+    # oversubscribing the CPUs this process may use only adds contention
+    cpus = _cpus()
+    return min(threads, len(cpus) if cpus is not None else os.cpu_count() or 1)
 
 
 def _pin_worker(cpus) -> None:
@@ -245,6 +275,44 @@ def _pin_worker(cpus) -> None:
         os.sched_setaffinity(0, {next(cpus)})
     except OSError:  # the CPU left the set since it was read; run unpinned
         pass
+
+
+# One persistent tile pool per worker count, with the CPU set its threads
+# were pinned over.
+_pools: dict[int, tuple[tuple[int, ...] | None, ThreadPoolExecutor]] = {}
+_pools_lock = threading.Lock()
+
+
+def _forget_pools() -> None:
+    # A forked child inherits the pools but none of their threads, and the
+    # lock perhaps held; it starts with neither.
+    global _pools_lock
+    _pools.clear()
+    _pools_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pools)
+
+
+def _tile_pool(workers: int) -> ThreadPoolExecutor:
+    """The persistent pool of ``workers`` tile threads.  Each thread is pinned
+    to its own CPU of the caller's affinity set, where the platform can pin
+    threads; a pool whose set has changed since is replaced."""
+    cpus = _cpus()
+    with _pools_lock:
+        held = _pools.get(workers)
+        if held is not None and held[0] == cpus:
+            return held[1]
+        pinning = {}
+        if cpus is not None and hasattr(os, "sched_setaffinity"):
+            pinning = {"initializer": _pin_worker, "initargs": (itertools.cycle(cpus),)}
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="binsed-tile",
+                                  **pinning)
+        _pools[workers] = cpus, pool
+    if held is not None:
+        held[1].shutdown(wait=False)
+    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -329,28 +397,60 @@ def _backward_intervals(net: NetworkSpec, out_lo: int, out_hi: int) -> list[tupl
     return intervals
 
 
-def _run_tile(x: FixedTensor, net: NetworkSpec, widths, intervals) -> np.ndarray:
-    # The first layer reads its columns straight from the whole input.
-    cur, offset = x, 0
-    for l, layer in enumerate(net.layers):
-        region = ColRegion(widths[l], offset, *intervals[l + 1])
-        cur = run_layer(layer, cur, region)
-        offset = intervals[l + 1][0]
-    return cur.values
+# Tile plans whose steps a network keeps; the oldest is dropped first.
+PLANS_KEPT = 8
 
 
-def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
-              threads: int = 1) -> InferenceResult:
-    """Run the network tile by tile; bit-exact for every plan.
+def _layer_params(layer: LayerSpec) -> tuple:
+    return layer.fixed, layer.weights, layer.fold
 
-    With threads > 1 the tiles run in parallel on one pool per call, each
-    tile single-threaded inside; this is the package's only parallelism.
-    Each pool thread is pinned to its own CPU of the caller's affinity set,
-    where the platform can pin threads.
-    Tiles are independent and concatenated in plan order, so the result does
-    not depend on scheduling.
+
+class _Prepared:
+    """A network's prepared layer steps, kept on the network object itself.
+
+    ``tiles`` maps each tile plan run so far (at most PLANS_KEPT) to its
+    tiles, each a list of [layer, region, step] per layer, and ``plans``
+    maps each worker count to run_monolithic's plan.  The steps hold the
+    layers and parameter objects they were built from, and _prepared uses
+    them only while the network's layers, their parameter objects (by
+    identity), its input contract and the popcount backend are still those;
+    otherwise it puts a new, empty cache on the network.  A shallow copy of
+    a network shares its cache only until either is given other layers.
     """
-    check_input(x, net)
+
+    __slots__ = ("layers", "params", "contract", "popcount", "plans", "tiles")
+
+    def __init__(self, net: NetworkSpec):
+        self.layers = net.layers
+        self.params = [_layer_params(layer) for layer in net.layers]
+        self.contract = net.input_shape, net.input_qformat
+        self.popcount = resolve_popcount_name()
+        self.plans: dict[int, TilePlan] = {}
+        self.tiles: dict[TilePlan, list] = {}
+
+    def current(self, net: NetworkSpec) -> bool:
+        return (net.layers is self.layers and self.popcount == resolve_popcount_name()
+                and (net.input_shape, net.input_qformat) == self.contract
+                and all(a is b for layer, held in zip(net.layers, self.params)
+                        for a, b in zip(_layer_params(layer), held)))
+
+    def keep(self, plan: TilePlan, tiles: list) -> None:
+        if len(self.tiles) >= PLANS_KEPT:
+            self.tiles.pop(next(iter(self.tiles)), None)
+        self.tiles[plan] = tiles
+
+
+def _prepared(net: NetworkSpec) -> _Prepared:
+    cache = vars(net).get("_prepared")
+    if cache is None or not cache.current(net):
+        cache = _Prepared(net)
+        object.__setattr__(net, "_prepared", cache)
+    return cache
+
+
+def _plan_regions(net: NetworkSpec, plan: TilePlan) -> list:
+    """Check a plan against the network and lay out its tiles: per tile, a
+    [layer, region, None] entry per layer, the step still to be prepared."""
     chain = net.shape_chain()
     final_w = chain[-1][1]
     covered = 0
@@ -362,7 +462,7 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
         raise ValueError(f"tile output ranges cover {covered} columns, expected {final_w}")
 
     widths = [s[1] for s in chain]
-    tile_intervals = []
+    tiles = []
     for (olo, ohi), (ilo, ihi) in zip(plan.out_ranges, plan.in_ranges):
         intervals = _backward_intervals(net, olo, ohi)
         need_lo, need_hi = intervals[0]
@@ -370,26 +470,62 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
             raise ValueError(
                 f"tile halo too small: output columns [{olo},{ohi}) need input "
                 f"columns [{need_lo},{need_hi}) but the plan provides [{ilo},{ihi})")
-        tile_intervals.append(intervals)
+        # The first layer reads its columns straight from the whole input.
+        offsets = [0] + [lo for lo, _ in intervals[1:-1]]
+        tiles.append([[layer, ColRegion(widths[l], offsets[l], *intervals[l + 1]), None]
+                      for l, layer in enumerate(net.layers)])
+    return tiles
+
+
+def _run_tile(x: FixedTensor, tile: list) -> np.ndarray:
+    """Run one tile's layers.  A layer whose step is still None has it
+    prepared from its input first, and kept in its entry."""
+    cur = x
+    for entry in tile:
+        layer, region, step = entry
+        if step is None:
+            step = entry[2] = prepare_layer(layer, cur, region)
+        cur = run_layer(layer, cur, region, step)
+    return cur.values
+
+
+def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
+              threads: int = 1) -> InferenceResult:
+    """Run the network tile by tile; bit-exact for every plan.
+
+    The first run of a plan on a network checks the plan and prepares each
+    tile's layer steps (prepare_layer) as the tile reaches them; the network
+    keeps them, and later runs of the plan only run them.  With threads > 1
+    the tiles run in parallel on the persistent pool for that many workers,
+    each tile single-threaded inside; this is the package's only
+    parallelism.  Workers are capped at the CPUs the process may run on, and
+    each pool thread is pinned to its own CPU of that set, where the
+    platform can pin threads.  Tiles are independent and concatenated in
+    plan order, so the result does not depend on scheduling.
+    """
+    check_input(x, net)
+    cache = _prepared(net)
+    tiles = cache.tiles.get(plan)
+    fresh = tiles is None
+    if fresh:
+        tiles = _plan_regions(net, plan)
 
     workers = min(_workers(threads), plan.tile_count)
     log.debug("tile plan: %d tiles, %d workers, halo %d",
               plan.tile_count, workers, plan.halo)
     if workers == 1:
-        pieces = [_run_tile(x, net, widths, iv) for iv in tile_intervals]
+        pieces = [_run_tile(x, tile) for tile in tiles]
     else:
-        pinning = {}
-        if hasattr(os, "sched_setaffinity"):
-            cpus = itertools.cycle(sorted(os.sched_getaffinity(0)))
-            pinning = {"initializer": _pin_worker, "initargs": (cpus,)}
-        with ThreadPoolExecutor(max_workers=workers, **pinning) as pool_exec:
-            futures = [pool_exec.submit(_run_tile, x, net, widths, iv)
-                       for iv in tile_intervals]
-            pieces = [f.result() for f in futures]
+        pool = _tile_pool(workers)
+        futures = [pool.submit(_run_tile, x, tile) for tile in tiles]
+        wait(futures)  # every tile ends before the call does, also when one raises
+        pieces = [f.result() for f in futures]
+    if fresh:
+        cache.keep(plan, tiles)
 
-    pool = global_avg_pool(np.concatenate(pieces, axis=1))
+    pooled = global_avg_pool(np.concatenate(pieces, axis=1))
     p = net.layers[-1].fixed  # the final conv's input is at qformat 0
-    return InferenceResult(pool.sums, pool.count, predict(pool.sums),
+    return InferenceResult(pooled.sums, pooled.count, predict(pooled.sums),
                            p.weights_qformat - p.output_shift)
 
 
@@ -398,10 +534,15 @@ def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1) -> Infere
 
     At one thread this is the one-tile plan, the full feature map in one
     pass; with N workers it is the N-tile plan, bit-identical by the halo
-    theorem.
+    theorem.  The network keeps each worker count's plan, so later runs
+    reuse it and its prepared steps.
     """
-    final_w = net.shape_chain()[-1][1]
-    plan = plan_tiles(net, min(_workers(threads), final_w))
+    workers = _workers(threads)
+    cache = _prepared(net)
+    plan = cache.plans.get(workers)
+    if plan is None:
+        final_w = net.shape_chain()[-1][1]
+        plan = cache.plans[workers] = plan_tiles(net, min(workers, final_w))
     return run_tiled(x, net, plan, threads)
 
 

@@ -13,6 +13,16 @@ Every kernel accepts an optional column region so the tiled executor can
 compute an exact slice of the monolithic output from an input slab: window
 positions, padding, and border classes are always resolved in monolithic
 coordinates.
+
+Each convolution splits into a prepare step and a run step.  Preparing
+(prepare_fixed_conv, prepare_binary_conv) checks the parameters and builds
+every table that depends only on the layer, the input shape and the column
+region; running builds the slab, makes the checks that depend on the
+input's values and runs the block loop.  Each public conv2d_* call is one
+prepare and one run.  The three the executor calls (conv2d_fixed,
+conv2d_fixed_sign, conv2d_binary_threshold) also take ``prepared=``, a step
+built for the same arguments, and then only run it: the executor keeps each
+tile's steps and runs them on every later call.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from __future__ import annotations
 import functools
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,41 +150,35 @@ class ColRegion:
     out_hi: int
 
 
-def _column_slab(values: np.ndarray, full_w: int, col_offset: int,
-                 need_lo: int, need_hi: int, pad_rows: tuple[int, int]) -> np.ndarray:
-    """The zero-extended slab covering monolithic columns [need_lo, need_hi):
-    a view of values when no zero pixel is needed, else a copy.
+class _Geometry(NamedTuple):
+    """Where a "same" conv over a column region reads and writes.
 
-    Raises if the provided slab is missing any in-image column the window
-    needs (the tiled executor's halo guarantee).
+    The slab covers monolithic input columns [need_lo, need_hi) plus
+    pad_rows zero rows, so its row 0 and column 0 are the top-left window's
+    first tap; the output is out_h rows of the region's columns.
     """
-    h, w = values.shape[:2]
-    if max(need_lo, 0) < col_offset or min(need_hi, full_w) > col_offset + w:
-        raise ValueError(
-            f"slab covers columns [{col_offset},{col_offset + w}) but "
-            f"[{max(need_lo, 0)},{min(need_hi, full_w)}) are required")
-    pt, pb = pad_rows
-    if pt == pb == 0 and col_offset <= need_lo and need_hi <= col_offset + w:
-        return values[:, need_lo - col_offset:need_hi - col_offset]  # nothing to extend
-    slab = np.zeros((h + pt + pb, need_hi - need_lo) + values.shape[2:], dtype=values.dtype)
-    src_lo = max(need_lo, 0)
-    src_hi = min(need_hi, full_w)
-    if src_lo < src_hi:
-        slab[pt:pt + h, src_lo - need_lo:src_hi - need_lo] = \
-            values[:, src_lo - col_offset:src_hi - col_offset]
-    return slab
+
+    out_h: int
+    pad_rows: tuple[int, int]
+    pad_left: int
+    region: ColRegion
+    need_lo: int
+    need_hi: int
+
+    @property
+    def out_w(self) -> int:
+        return self.region.out_hi - self.region.out_lo
 
 
-def _conv_slab(values: np.ndarray, ky: int, kx: int, stride: int,
-               region: ColRegion | None):
-    """Geometry and input of a "same" conv over the output columns region
-    names (the whole map when None), shared by both block builders.
+def _conv_geometry(shape: tuple[int, int, int], ky: int, kx: int, stride: int,
+                   region: ColRegion | None) -> _Geometry:
+    """The geometry of a "same" conv over an input of shape [h][w][c] and the
+    output columns region names (the whole map when None).
 
-    Returns (out_h, pt, pl, region, slab): the top and left padding, the
-    resolved region, and the zero-extended input slab whose row 0 and
-    column 0 are the top-left window's first tap.
+    Raises if the input slab is missing any in-image column the window needs
+    (the tiled executor's halo guarantee).
     """
-    h, w = values.shape[:2]
+    h, w = shape[:2]
     out_h, pt, pb = same_pad(h, ky, stride)
     out_w, pl, _ = same_pad(w if region is None else region.full_width, kx, stride)
     if region is None:
@@ -182,8 +187,35 @@ def _conv_slab(values: np.ndarray, ky: int, kx: int, stride: int,
         raise ValueError(f"output columns [{region.out_lo},{region.out_hi}) outside [0,{out_w})")
     need_lo = region.out_lo * stride - pl
     need_hi = (region.out_hi - 1) * stride - pl + kx
-    slab = _column_slab(values, region.full_width, region.col_offset, need_lo, need_hi, (pt, pb))
-    return out_h, pt, pl, region, slab
+    lo, hi = region.col_offset, region.col_offset + w
+    if max(need_lo, 0) < lo or min(need_hi, region.full_width) > hi:
+        raise ValueError(
+            f"slab covers columns [{lo},{hi}) but "
+            f"[{max(need_lo, 0)},{min(need_hi, region.full_width)}) are required")
+    return _Geometry(out_h, (pt, pb), pl, region, need_lo, need_hi)
+
+
+def _column_slab(values: np.ndarray, g: _Geometry) -> np.ndarray:
+    """The zero-extended slab of g: a view of values when no zero pixel is
+    needed, else a copy."""
+    h, w = values.shape[:2]
+    off, full_w = g.region.col_offset, g.region.full_width
+    pt, pb = g.pad_rows
+    if pt == pb == 0 and off <= g.need_lo and g.need_hi <= off + w:
+        return values[:, g.need_lo - off:g.need_hi - off]  # nothing to extend
+    slab = np.zeros((h + pt + pb, g.need_hi - g.need_lo) + values.shape[2:], dtype=values.dtype)
+    src_lo = max(g.need_lo, 0)
+    src_hi = min(g.need_hi, full_w)
+    if src_lo < src_hi:
+        slab[pt:pt + h, src_lo - g.need_lo:src_hi - g.need_lo] = \
+            values[:, src_lo - off:src_hi - off]
+    return slab
+
+
+def _check_input(x, step) -> None:
+    """Refuse an input of another shape than the one step was prepared for."""
+    if x.shape != step.in_shape:
+        raise ValueError(f"input shape {x.shape}, the step was prepared for {step.in_shape}")
 
 
 def _valid_span(out_len: int, offset: int, stride: int, tap: int, pad: int, size: int):
@@ -303,88 +335,147 @@ def _acc_limits(p: FixedConvParams, levels) -> np.ndarray:
                      for t, b in zip(levels.tolist(), p.bias.tolist())], dtype=np.float64)
 
 
-def _fixed_conv_blocks(x: FixedTensor, p: FixedConvParams, stride: int,
-                       col_region: ColRegion | None):
-    """Check a fixed conv and set up its accumulation loop, shared by
-    conv2d_fixed and conv2d_fixed_sign.
+class FixedConvStep(NamedTuple):
+    """A fixed conv prepared for one layer, input shape and column region.
 
-    Returns (out_h, out_w, blocks).  ``blocks`` yields (r0, r1, acc) for each
-    block of output rows [r0, r1): acc is float64 [(r1 - r0) * out_w][out]
-    holding the exact sums of x*w, bias not yet added, in a buffer the next
-    block overwrites.  Every partial sum is an exact integer below 2**52
-    (checked here), so a float64 matmul over im2col patches is bit-exact and
-    uses BLAS instead of numpy's slow integer dot; consume the blocks under
-    blas.single_thread().  The im2col patches and the product are both
-    capped by BLOCK_BYTES.  When the conservative output-range bound fails,
-    each block's actual values are judged instead.
+    Holds what the parameter checks found and every table that does not
+    depend on the input's values: the geometry, the float64 filter matrix,
+    the worst-case accumulator factors, both output-range limits and the
+    epilogue's constants (offset for conv2d_fixed; limits and flip for
+    conv2d_fixed_sign, whose fold is set).  Passed as ``prepared=`` to the
+    conv it was built for, it leaves that call only the run: slab, the
+    data-dependent bound check and the block loop.
     """
-    ky, kx = p.kernel
-    if x.channels != p.in_channels:
-        raise ValueError(f"input has {x.channels} channels, weights expect {p.in_channels}")
+
+    params: FixedConvParams
+    fold: BnFold | None
+    stride: int
+    col_region: ColRegion | None
+    in_shape: tuple[int, int, int]
+    geometry: _Geometry
+    w_t: np.ndarray  # float64 [ky * kx * in][out]
+    rows: int  # output rows per block
+    acc_per_input: int  # taps * max |w|: the bound is this * max |input| + max |bias|
+    max_bias: int
+    range_limits: tuple[np.ndarray, np.ndarray]  # _acc_limits of the output range
+    offset: np.ndarray | None  # float64 bias + rounding half, conv2d_fixed
+    limits: np.ndarray | None  # _acc_limits of the folded threshold, conv2d_fixed_sign
+    flip: np.ndarray | None
+
+    def check(self, p: FixedConvParams, fold: BnFold | None, stride: int,
+              col_region: ColRegion | None) -> None:
+        """Refuse a call whose arguments are not the ones this step was built for."""
+        if self.params is not p or self.fold is not fold or \
+                (self.stride, self.col_region) != (stride, col_region):
+            raise ValueError("prepared step was built for other conv arguments")
+
+
+def prepare_fixed_conv(shape: tuple[int, int, int], qformat: int, p: FixedConvParams,
+                       stride: int = 1, col_region: ColRegion | None = None,
+                       fold: BnFold | None = None) -> FixedConvStep:
+    """Check a fixed conv over inputs of shape [h][w][c] at qformat and build
+    its tables: for conv2d_fixed, or for conv2d_fixed_sign when fold is set."""
+    if shape[2] != p.in_channels:
+        raise ValueError(f"input has {shape[2]} channels, weights expect {p.in_channels}")
     if stride not in (1, 2):
         raise ValueError(f"stride must be 1 or 2, got {stride}")
-    if p.bias_qformat != x.qformat + p.weights_qformat:
+    if p.bias_qformat != qformat + p.weights_qformat:
         raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
+    if fold is not None and fold.channels != p.out_channels:
+        raise ValueError(f"layer has {p.out_channels} channels, fold has {fold.channels}")
+    ky, kx = p.kernel
+    g = _conv_geometry(shape, ky, kx, stride, col_region)
+    w_t = p.weights.reshape(p.out_channels, -1).T.astype(np.float64)
+    taps = w_t.shape[0]
+    lo, hi = signed_range(p.output_bitwidth)
+    offset = limits = flip = None
+    if fold is None:
+        offset = p.bias.astype(np.float64) + (1 << p.output_shift >> 1)
+    else:
+        folded, flip = fold.folded()
+        limits = _acc_limits(p, folded)
+    return FixedConvStep(
+        p, fold, stride, col_region, tuple(shape), g, w_t,
+        _block_rows(g.out_h, g.out_w * max(taps, p.out_channels) * 8),
+        taps * _max_abs(p.weights), _max_abs(p.bias),
+        (_acc_limits(p, lo), _acc_limits(p, hi + 1)), offset, limits, flip)
 
-    out_h, _, _, region, slab = _conv_slab(x.values, ky, kx, stride, col_region)
-    ow = region.out_hi - region.out_lo
 
-    shift = p.output_shift
+def _fixed_conv_blocks(x: FixedTensor, s: FixedConvStep):
+    """The accumulation loop of a prepared fixed conv, shared by conv2d_fixed
+    and conv2d_fixed_sign.
+
+    Yields (r0, r1, acc) for each block of output rows [r0, r1): acc is
+    float64 [(r1 - r0) * out_w][out] holding the exact sums of x*w, bias not
+    yet added, in a buffer the next block overwrites.  Every partial sum is
+    an exact integer below 2**52 (checked here, from the slab's values), so a
+    float64 matmul over im2col patches is bit-exact and uses BLAS instead of
+    numpy's slow integer dot; consume the blocks under blas.single_thread().
+    The im2col patches and the product are both capped by BLOCK_BYTES.
+    When the conservative output-range bound fails, each block's actual
+    values are judged instead.
+    """
+    _check_input(x, s)
+    if x.qformat + s.params.weights_qformat != s.params.bias_qformat:
+        raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
+    p, g, stride = s.params, s.geometry, s.stride
+    ky, kx = p.kernel
+    out_h, ow = g.out_h, g.out_w
+    slab = _column_slab(x.values, g)
+
     max_in = max(int(slab.max(initial=0)), -int(slab.min(initial=0)))
-    bound = p.accumulator_bound(max_in)
+    bound = s.acc_per_input * max_in + s.max_bias
     if bound >= 1 << 52:
         raise ValueError("accumulator bound exceeds exact float64 range")
-    lo, hi = signed_range(p.output_bitwidth)
-    range_limits = None
-    if rounding_shift(np.int64(bound), shift) > hi:
-        range_limits = _acc_limits(p, lo), _acc_limits(p, hi + 1)
+    judge = rounding_shift(bound, p.output_shift) > signed_range(p.output_bitwidth)[1]
 
     wins = np.lib.stride_tricks.sliding_window_view(slab, (ky, kx), axis=(0, 1))
     # [y][x][ky][kx][in]: the tap order of the weights
     wins = wins[:(out_h - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
     wins = wins.transpose(0, 1, 3, 4, 2)
-    w_t = p.weights.reshape(p.out_channels, -1).T.astype(np.float64)
-    taps = w_t.shape[0]
-    rows = _block_rows(out_h, ow * max(taps, p.out_channels) * 8)
+    taps = s.w_t.shape[0]
+    rows = s.rows
     patches = np.empty((rows,) + wins.shape[1:])
     product = np.empty((rows * ow, p.out_channels))
-
-    def blocks():
-        for r0 in range(0, out_h, rows):
-            r1 = min(r0 + rows, out_h)
-            n = r1 - r0
-            np.copyto(patches[:n], wins[r0:r1])  # im2col, cast to float64
-            acc = product[:n * ow]
-            np.matmul(patches[:n].reshape(n * ow, taps), w_t, out=acc)
-            if range_limits is not None and (
-                    (acc < range_limits[0]).any() or (acc >= range_limits[1]).any()):
-                raise ValueError(f"conv output exceeds {p.output_bitwidth}-bit range; "
-                                 "model output_shift is inconsistent")
-            yield r0, r1, acc
-
-    return out_h, ow, blocks()
+    below, above = s.range_limits
+    for r0 in range(0, out_h, rows):
+        r1 = min(r0 + rows, out_h)
+        n = r1 - r0
+        np.copyto(patches[:n], wins[r0:r1])  # im2col, cast to float64
+        acc = product[:n * ow]
+        np.matmul(patches[:n].reshape(n * ow, taps), s.w_t, out=acc)
+        if judge and ((acc < below).any() or (acc >= above).any()):
+            raise ValueError(f"conv output exceeds {p.output_bitwidth}-bit range; "
+                             "model output_shift is inconsistent")
+        yield r0, r1, acc
 
 
 def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
-                 col_region: ColRegion | None = None) -> FixedTensor:
+                 col_region: ColRegion | None = None, *,
+                 prepared: FixedConvStep | None = None) -> FixedTensor:
     """Integer "same" convolution with per-channel bias and rounding rescale.
 
     out[y][x][k] = rshift_round(sum_in x*w + bias[k], output_shift); output
     spatial dims are ceil(H/stride) x ceil(W/stride).  Zero padding pixels
     contribute nothing to the sum.  The output is written straight into the
-    storage dtype of ``output_bitwidth``.
+    storage dtype of ``output_bitwidth``.  ``prepared`` is this call's
+    prepare_fixed_conv step, reused from an earlier call; None builds it.
     """
-    out_h, ow, blocks = _fixed_conv_blocks(x, p, stride, col_region)
+    if prepared is None:
+        prepared = prepare_fixed_conv(x.shape, x.qformat, p, stride, col_region)
+    else:
+        prepared.check(p, None, stride, col_region)
+    blocks = _fixed_conv_blocks(x, prepared)
+    out_h, ow = prepared.geometry.out_h, prepared.geometry.out_w
     # Adding bias and the rounding half, scaling by 2**-shift and flooring
     # equals the integer rounding shift exactly: the sum stays below 2**53
     # and a power-of-two scale is exact.
     shift = p.output_shift
-    offset = p.bias.astype(np.float64) + (1 << shift >> 1)
     # _fixed_conv_blocks refuses any value outside output_bitwidth
     out = np.empty((out_h * ow, p.out_channels), dtype=storage_dtype(p.output_bitwidth))
     with single_thread():
         for r0, r1, acc in blocks:
-            acc += offset
+            acc += prepared.offset
             if shift:
                 acc *= 2.0 ** -shift
                 np.floor(acc, out=acc)
@@ -395,7 +486,8 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
 
 
 def conv2d_fixed_sign(x: FixedTensor, p: FixedConvParams, fold: BnFold, stride: int = 1,
-                      col_region: ColRegion | None = None) -> BinaryTensor:
+                      col_region: ColRegion | None = None, *,
+                      prepared: FixedConvStep | None = None) -> BinaryTensor:
     """binarize_sign(conv2d_fixed(x, p), fold), bit for bit, without the
     fixed-point output.
 
@@ -403,18 +495,20 @@ def conv2d_fixed_sign(x: FixedTensor, p: FixedConvParams, fold: BnFold, stride: 
     exact float64 sums: with the polarity folded as in BnFold.folded, the bit
     is rounding_shift(v + bias, shift) >= t, which is v >= a for the
     per-channel limit a of _acc_limits, then the polarity flip.  Only the
-    block's bools and the packed words are written.
+    block's bools and the packed words are written.  ``prepared`` is as for
+    conv2d_fixed, built with this fold.
     """
-    if fold.channels != p.out_channels:
-        raise ValueError(f"layer has {p.out_channels} channels, fold has {fold.channels}")
-    out_h, ow, blocks = _fixed_conv_blocks(x, p, stride, col_region)
-    folded, flip = fold.folded()
-    limits = _acc_limits(p, folded)
+    if prepared is None:
+        prepared = prepare_fixed_conv(x.shape, x.qformat, p, stride, col_region, fold)
+    else:
+        prepared.check(p, fold, stride, col_region)
+    blocks = _fixed_conv_blocks(x, prepared)
+    out_h, ow = prepared.geometry.out_h, prepared.geometry.out_w
     words = np.zeros((out_h, ow, words_per_pixel(p.out_channels)), dtype="<u4")
     with single_thread():
         for r0, r1, acc in blocks:
-            bits = acc >= limits
-            bits ^= flip
+            bits = acc >= prepared.limits
+            bits ^= prepared.flip
             write_bits(words[r0:r1], bits.reshape(r1 - r0, ow, p.out_channels))
     return BinaryTensor(out_h, ow, p.out_channels, words.astype(np.uint32, copy=False))
 
@@ -508,14 +602,121 @@ def _xor_bufsize(m: int) -> int:
     return min(-(-2 * m // 16) * 16, 1 << 20)
 
 
-def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
-                        col_region: ColRegion | None, popcount: str | None):
-    """Check a binary conv and set up its accumulation loop, shared by
+class BinaryConvStep(NamedTuple):
+    """A binary conv prepared for one layer, input shape, column region and
+    popcount backend.
+
+    Holds what the parameter checks found and every table that does not
+    depend on the input's bits: the geometry, the filter words in popcount
+    width, the block row ranges with their ufunc buffer sizes and border
+    rectangles, and the epilogue's per-rectangle constants (offsets for
+    conv2d_binary; bounds in the sums' dtype and flip for
+    conv2d_binary_threshold, whose fold is set).  Passed as ``prepared=`` to the conv2d_binary_threshold
+    call it was built for, it leaves that call only the run: slab and block
+    loop.
+    """
+
+    weights: PackedBinaryWeights
+    fold: BnFold | None
+    stride: int
+    col_region: ColRegion | None
+    popcount: str
+    in_shape: tuple[int, int, int]
+    geometry: _Geometry
+    popcount_fn: object
+    wide: bool  # pairs of 32-bit words popcounted as one 64-bit word
+    wt: np.ndarray  # filter words [ky][kx][word][out]
+    pc_dtype: type
+    rows: int  # output rows per block
+    blocks: tuple  # (r0, r1, xor bufsize, parts) per block; see _binary_conv_blocks
+    offsets: np.ndarray | None  # int32 C*v + 2*corr [rect][out], conv2d_binary
+    bounds: np.ndarray | None  # pc_dtype [rect][out][1][1], conv2d_binary_threshold
+    flip: np.ndarray | None
+
+    def check(self, w: PackedBinaryWeights, fold: BnFold, stride: int,
+              col_region: ColRegion | None, popcount: str | None) -> None:
+        """Refuse a call whose arguments are not the ones this step was built for."""
+        if self.weights is not w or self.fold is not fold or \
+                (self.stride, self.col_region, self.popcount) != \
+                (stride, col_region, resolve_popcount_name(popcount)):
+            raise ValueError("prepared step was built for other conv arguments")
+
+
+def prepare_binary_conv(shape: tuple[int, int, int], w: PackedBinaryWeights,
+                        stride: int = 1, col_region: ColRegion | None = None,
+                        popcount: str | None = None,
+                        fold: BnFold | None = None) -> BinaryConvStep:
+    """Check a binary conv over inputs of shape [h][w][channels] and build
+    its tables: for conv2d_binary, or for conv2d_binary_threshold when fold
+    is set.
+
+    Taps outside the image read the slab's zero words, so each adds
+    popcount(filter tap) to the block sums rather than nothing.  The output
+    splits into rectangles of equal sets of in-image taps; rectangle r has
+    v[r] in-image taps, and corr[r] [out] is the int64 popcount(filter tap)
+    sum over its out-of-image taps, so that the in-image sum is pc - corr[r].
+    Those fold into each rectangle's offsets or bounds here.
+    """
+    h, _, channels = shape
+    if channels != w.in_channels:
+        raise ValueError(f"input has {channels} channels, weights expect {w.in_channels}")
+    if stride not in (1, 2):
+        raise ValueError(f"stride must be 1 or 2, got {stride}")
+    if fold is not None and fold.channels != w.out_channels:
+        raise ValueError(f"layer has {w.out_channels} channels, fold has {fold.channels}")
+    popcount_fn = get_popcount(popcount)
+
+    ky, kx, oc = w.ky, w.kx, w.out_channels
+    g = _conv_geometry(shape, ky, kx, stride, col_region)
+    out_h, ow, region = g.out_h, g.out_w, g.region
+
+    # Pairs of 32-bit words fuse into one 64-bit popcount when they divide evenly.
+    wide = words_per_pixel(channels) % 2 == 0
+    wwords = np.ascontiguousarray(w.words).view(np.uint64) if wide else w.words
+    # The sum is at most ky*kx*channels; uint16 while that stays below the
+    # dtype's maximum, so a threshold bound of sum + 1 still fits.
+    pc_dtype = np.uint16 if ky * kx * channels < (1 << 16) - 1 else np.uint32
+    wt = np.ascontiguousarray(wwords.transpose(1, 2, 3, 0))  # [ky][kx][word][out]
+
+    row_cuts, row_valid = _tap_runs(
+        [_valid_span(out_h, 0, stride, dy, g.pad_rows[0], h) for dy in range(ky)], out_h)
+    col_cuts, col_valid = _tap_runs(
+        [_valid_span(ow, region.out_lo, stride, dx, g.pad_left, region.full_width)
+         for dx in range(kx)], ow)
+    rects = [(y0, y1, slice(c0, c1)) for y0, y1 in zip(row_cuts, row_cuts[1:])
+             for c0, c1 in zip(col_cuts, col_cuts[1:])]
+    v = np.outer(row_valid.sum(axis=1), col_valid.sum(axis=1)).ravel()
+    tap_pc = popcount_fn(wt).sum(axis=2, dtype=np.int64)  # [ky][kx][out]
+    in_image = col_valid @ (row_valid @ tap_pc.reshape(ky, -1)).reshape(-1, kx, oc)
+    corr = tap_pc.sum(axis=(0, 1)) - in_image.reshape(-1, oc)
+
+    rows = _block_rows(out_h, ow * oc * wt.itemsize)
+    blocks = []
+    for r0 in range(0, out_h, rows):
+        r1 = min(r0 + rows, out_h)
+        parts = tuple((i, slice(max(y0, r0) - r0, min(y1, r1) - r0), xs)
+                      for i, (y0, y1, xs) in enumerate(rects) if y0 < r1 and r0 < y1)
+        blocks.append((r0, r1, _xor_bufsize((r1 - r0) * ow), parts))
+
+    cv = channels * v[:, None]
+    offsets = bounds = flip = None
+    if fold is None:
+        offsets = (cv + 2 * corr).astype(np.int32)
+    else:
+        folded, flip = fold.folded()
+        bounds = np.clip((cv - folded) // 2 + 1, 0, cv + 1) + corr
+        bounds = bounds.astype(pc_dtype)[:, :, None, None]  # [rect][out][1][1]
+    return BinaryConvStep(w, fold, stride, col_region, resolve_popcount_name(popcount),
+                          tuple(shape), g, popcount_fn, wide, wt, pc_dtype, rows,
+                          tuple(blocks), offsets, bounds, flip)
+
+
+def _binary_conv_blocks(x: BinaryTensor, s: BinaryConvStep):
+    """The accumulation loop of a prepared binary conv, shared by
     conv2d_binary and conv2d_binary_threshold.
 
-    Returns (out_h, out_w, pc_dtype, v, corr, blocks).  The loop is channel
-    major: ``blocks`` yields (r0, r1, pc, parts, spare) for each block of
-    output rows [r0, r1), where pc [out][r1 - r0][out_w] sums
+    The loop is channel major: it yields (r0, r1, pc, parts, spare) for each
+    block of output rows [r0, r1), where pc [out][r1 - r0][out_w] sums
     popcount(input ^ filter) over every tap and channel word, in a buffer
     the next block overwrites.  Per tap and word, the strided input window
     is copied into one contiguous row of the block's m positions, xored
@@ -525,87 +726,46 @@ def _binary_conv_blocks(x: BinaryTensor, w: PackedBinaryWeights, stride: int,
     buffers are sized once per call to keep the xor block within
     BLOCK_BYTES, so no temporary grows with the feature map.
 
-    Taps outside the image read the slab's zero words, so each adds
-    popcount(filter tap) to pc rather than nothing.  The output splits into
-    rectangles of equal sets of in-image taps; rectangle r has v[r]
-    in-image taps, and corr[r] [out] is the int64 popcount(filter tap) sum
-    over its out-of-image taps, so that the in-image sum is pc - corr[r].
-    ``parts`` lists (r, ys, xs) for each rectangle r that meets the block:
-    its rows, local to the block, and columns.  ``spare`` is two flat uint8
-    views, each of at least pc.size bytes, of the xor and popcount buffers,
-    which are dead once pc is yielded.
+    ``parts`` lists (r, ys, xs) for each border rectangle r (see
+    prepare_binary_conv) that meets the block: its rows, local to the block,
+    and columns.  ``spare`` is two flat uint8 views, each of at least pc.size
+    bytes, of the xor and popcount buffers, which are dead once pc is
+    yielded.
     """
-    if x.channels != w.in_channels:
-        raise ValueError(f"input has {x.channels} channels, weights expect {w.in_channels}")
-    if stride not in (1, 2):
-        raise ValueError(f"stride must be 1 or 2, got {stride}")
-    popcount_fn = get_popcount(popcount)
-
-    ky, kx = w.ky, w.kx
-    out_h, pt, pl, region, slab = _conv_slab(x.words, ky, kx, stride, col_region)
-
-    # Pairs of 32-bit words fuse into one 64-bit popcount when they divide evenly.
-    if slab.shape[-1] % 2 == 0:
+    _check_input(x, s)
+    slab = _column_slab(x.words, s.geometry)
+    if s.wide:
         slab = slab.view(np.uint64)
-        wwords = np.ascontiguousarray(w.words).view(np.uint64)
-    else:
-        wwords = w.words
-
-    ow = region.out_hi - region.out_lo
-    oc = w.out_channels
-    # The sum is at most ky*kx*channels; uint16 while that stays below the
-    # dtype's maximum, so a threshold bound of sum + 1 still fits.
-    pc_dtype = np.uint16 if ky * kx * x.channels < (1 << 16) - 1 else np.uint32
-    wt = np.ascontiguousarray(wwords.transpose(1, 2, 3, 0))  # [ky][kx][word][out]
-
-    row_cuts, row_valid = _tap_runs(
-        [_valid_span(out_h, 0, stride, dy, pt, x.height) for dy in range(ky)], out_h)
-    col_cuts, col_valid = _tap_runs(
-        [_valid_span(ow, region.out_lo, stride, dx, pl, region.full_width)
-         for dx in range(kx)], ow)
-    rects = [(y0, y1, slice(c0, c1)) for y0, y1 in zip(row_cuts, row_cuts[1:])
-             for c0, c1 in zip(col_cuts, col_cuts[1:])]
-    v = np.outer(row_valid.sum(axis=1), col_valid.sum(axis=1)).ravel()
-    tap_pc = popcount_fn(wt).sum(axis=2, dtype=np.int64)  # [ky][kx][out]
-    in_image = col_valid @ (row_valid @ tap_pc.reshape(ky, -1)).reshape(-1, kx, oc)
-    corr = tap_pc.sum(axis=(0, 1)) - in_image.reshape(-1, oc)
-
-    rows = _block_rows(out_h, ow * oc * slab.itemsize)
+    ky, kx, words, oc = s.wt.shape
+    ow, stride, rows, popcount_fn = s.geometry.out_w, s.stride, s.rows, s.popcount_fn
     size = rows * ow * oc
-    pc_buf = np.empty(size, dtype=pc_dtype)
+    pc_buf = np.empty(size, dtype=s.pc_dtype)
     xor_buf = np.empty(size, dtype=slab.dtype)
     count_buf = np.empty(size, dtype=np.uint8)
     win_buf = np.empty(rows * ow, dtype=slab.dtype)
     spare = xor_buf.view(np.uint8), count_buf
 
-    def blocks():
-        for r0 in range(0, out_h, rows):
-            r1 = min(r0 + rows, out_h)
-            n = r1 - r0
-            m = n * ow
-            pc = pc_buf[:oc * m].reshape(oc, m)
-            xor = xor_buf[:oc * m].reshape(oc, m)
-            count = count_buf[:oc * m].reshape(oc, m)
-            win = win_buf[:m]
-            bufsize = _xor_bufsize(m)
-            pc.fill(0)
-            for dy in range(ky):
-                for dx in range(kx):
-                    window = slab[dy + r0 * stride:dy + (r1 - 1) * stride + 1:stride,
-                                  dx:dx + (ow - 1) * stride + 1:stride]
-                    for wi in range(slab.shape[-1]):
-                        np.copyto(win.reshape(n, ow), window[:, :, wi])
-                        old = np.setbufsize(bufsize)
-                        try:
-                            np.bitwise_xor(wt[dy, dx, wi, :, None], win, out=xor)
-                        finally:
-                            np.setbufsize(old)
-                        pc += popcount_fn(xor, out=count)
-            parts = [(i, slice(max(y0, r0) - r0, min(y1, r1) - r0), xs)
-                     for i, (y0, y1, xs) in enumerate(rects) if y0 < r1 and r0 < y1]
-            yield r0, r1, pc.reshape(oc, n, ow), parts, spare
-
-    return out_h, ow, pc_dtype, v, corr, blocks()
+    for r0, r1, bufsize, parts in s.blocks:
+        n = r1 - r0
+        m = n * ow
+        pc = pc_buf[:oc * m].reshape(oc, m)
+        xor = xor_buf[:oc * m].reshape(oc, m)
+        count = count_buf[:oc * m].reshape(oc, m)
+        win = win_buf[:m]
+        pc.fill(0)
+        for dy in range(ky):
+            for dx in range(kx):
+                window = slab[dy + r0 * stride:dy + (r1 - 1) * stride + 1:stride,
+                              dx:dx + (ow - 1) * stride + 1:stride]
+                for wi in range(words):
+                    np.copyto(win.reshape(n, ow), window[:, :, wi])
+                    old = np.setbufsize(bufsize)
+                    try:
+                        np.bitwise_xor(s.wt[dy, dx, wi, :, None], win, out=xor)
+                    finally:
+                        np.setbufsize(old)
+                    pc += popcount_fn(xor, out=count)
+        yield r0, r1, pc.reshape(oc, n, ow), parts, spare
 
 
 def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
@@ -621,20 +781,21 @@ def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
     taps and corr the popcount their zero words added, the result is
     C*v - 2*(pc - corr), one constant per channel and border rectangle.
     """
-    out_h, ow, _, v, corr, blocks = _binary_conv_blocks(x, w, stride, col_region, popcount)
-    offsets = (x.channels * v[:, None] + 2 * corr).astype(np.int32)
-    acc = np.empty((out_h, ow, w.out_channels), dtype=np.int32)
-    for r0, r1, pc, parts, _ in blocks:
+    prepared = prepare_binary_conv(x.shape, w, stride, col_region, popcount)
+    g = prepared.geometry
+    acc = np.empty((g.out_h, g.out_w, w.out_channels), dtype=np.int32)
+    for r0, r1, pc, parts, _ in _binary_conv_blocks(x, prepared):
         block = acc[r0:r1]
         np.multiply(pc.transpose(1, 2, 0), np.int32(-2), out=block)
         for i, ys, xs in parts:
-            block[ys, xs] += offsets[i]
+            block[ys, xs] += prepared.offsets[i]
     return acc
 
 
 def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFold,
                             stride: int = 1, col_region: ColRegion | None = None,
-                            popcount: str | None = None) -> BinaryTensor:
+                            popcount: str | None = None, *,
+                            prepared: BinaryConvStep | None = None) -> BinaryTensor:
     """threshold_activation(conv2d_binary(x, w), fold), bit for bit, straight
     from the popcount sums.
 
@@ -648,25 +809,23 @@ def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFol
     bools [out][rows][cols] into the dead xor buffer; the flip, xored on
     the transpose into the dead popcount buffer, leaves channels last for
     the pack.  No int32 accumulator and no bool block is allocated.
+    ``prepared`` is this call's prepare_binary_conv step, reused from an
+    earlier call; None builds it.
     """
-    if fold.channels != w.out_channels:
-        raise ValueError(f"layer has {w.out_channels} channels, fold has {fold.channels}")
-    out_h, ow, pc_dtype, v, corr, blocks = _binary_conv_blocks(
-        x, w, stride, col_region, popcount)
-    folded, flip = fold.folded()
-    cv = x.channels * v[:, None]
-    bounds = np.clip((cv - folded) // 2 + 1, 0, cv + 1) + corr
-    bounds = bounds.astype(pc_dtype)[:, :, None, None]  # [rect][out][1][1]
-    oc = w.out_channels
-    words = np.zeros((out_h, ow, words_per_pixel(oc)), dtype="<u4")
-    for r0, r1, pc, parts, (spare_a, spare_b) in blocks:
+    if prepared is None:
+        prepared = prepare_binary_conv(x.shape, w, stride, col_region, popcount, fold)
+    else:
+        prepared.check(w, fold, stride, col_region, popcount)
+    g, oc = prepared.geometry, w.out_channels
+    words = np.zeros((g.out_h, g.out_w, words_per_pixel(oc)), dtype="<u4")
+    for r0, r1, pc, parts, (spare_a, spare_b) in _binary_conv_blocks(x, prepared):
         bits = spare_a[:pc.size].view(bool).reshape(pc.shape)
         for i, ys, xs in parts:
-            np.less(pc[:, ys, xs], bounds[i], out=bits[:, ys, xs])
-        flipped = spare_b[:pc.size].view(bool).reshape(r1 - r0, ow, oc)
-        np.bitwise_xor(bits.transpose(1, 2, 0), flip, out=flipped)
+            np.less(pc[:, ys, xs], prepared.bounds[i], out=bits[:, ys, xs])
+        flipped = spare_b[:pc.size].view(bool).reshape(r1 - r0, g.out_w, oc)
+        np.bitwise_xor(bits.transpose(1, 2, 0), prepared.flip, out=flipped)
         write_bits(words[r0:r1], flipped)
-    return BinaryTensor(out_h, ow, oc, words.astype(np.uint32, copy=False))
+    return BinaryTensor(g.out_h, g.out_w, oc, words.astype(np.uint32, copy=False))
 
 
 # ---------------------------------------------------------------------------

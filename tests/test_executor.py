@@ -1,7 +1,13 @@
+import copy
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +48,12 @@ from tests.conftest import (
     random_mel_input,
     small_topologies,
     traced_peak,
+    with_fixed_fields,
+    with_layers,
+    with_output_shift,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_shape_chain(reference_model):
@@ -276,6 +287,174 @@ def test_tile_workers_keep_bufsize(reference_model, monkeypatch):
     assert len(seen) == 4 * 5
     assert all(before == after for _, before, after in seen)
     assert threading.get_ident() not in {ident for ident, _, _ in seen}
+
+
+def test_tile_workers_reuse_one_pool(reference_model, monkeypatch):
+    # Tiles run on one persistent pool per worker count: two threaded runs
+    # share its two worker threads.
+    workers = []
+    conv = executor.conv2d_binary_threshold
+
+    def spy(*args, **kwargs):
+        workers.append(threading.current_thread())
+        return conv(*args, **kwargs)
+
+    monkeypatch.setattr(executor, "conv2d_binary_threshold", spy)
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(19))
+    plan = plan_tiles(net, 4)
+    run_tiled(x, net, plan, 2)
+    run_tiled(x, net, plan, 2)
+    assert len(workers) == 2 * 4 * 5
+    assert len(set(workers)) <= 2 and len({t.ident for t in workers}) <= 2
+    assert threading.current_thread() not in workers
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_forked_child_runs_threaded(reference_model, monkeypatch):
+    # A child forked after a threaded run inherits the pool objects but none
+    # of their threads; it must build its own pool rather than wait forever.
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(20))
+    plan = plan_tiles(net, 4)
+    want = run_tiled(x, net, plan, 2).scores
+    pid = os.fork()
+    if pid == 0:  # the child: never return into the test runner
+        code = 1
+        try:
+            code = 0 if (run_tiled(x, net, plan, 2).scores == want).all() else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish its threaded run in 60 s")
+        time.sleep(0.05)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def test_process_exits_after_threaded_run():
+    # The persistent pool's idle threads must not hold the interpreter open.
+    script = (
+        "import time\n"
+        "import numpy as np\n"
+        "from binsed import executor, gen_random_float_model, plan_tiles, quantize_model, run_tiled\n"
+        "from binsed.tensors import FixedTensor\n"
+        "executor._workers = lambda threads: threads\n"
+        "net = quantize_model(gen_random_float_model(1, table=(('fixed_conv', 3, 3, 16, 1), "
+        "('binary_conv', 3, 3, 16, 1), ('final_conv', 1, 1, 4, 1)), "
+        "input_shape=(3, 20, 1), classes=4)).network\n"
+        "x = FixedTensor(3, 20, 1, np.ones((3, 20, 1), dtype=np.int32), net.input_qformat, 16)\n"
+        "run_tiled(x, net, plan_tiles(net, 4), 2)\n"
+        "print(time.time(), flush=True)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    ended = time.time()
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert ended - float(proc.stdout.split()[-1]) < 10
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity set")
+def test_workers_capped_at_affinity(reference_model, monkeypatch, caplog):
+    # Under one allowed CPU, eight threads ask for one tile on one worker,
+    # whatever os.cpu_count() says.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    caplog.set_level(logging.DEBUG, logger="binsed.executor")
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(21))
+    res = run_monolithic(x, net, threads=8)
+    plans = [r.getMessage() for r in caplog.records if "tile plan" in r.getMessage()]
+    assert plans == ["tile plan: 1 tiles, 1 workers, halo 20"]
+    assert (res.scores == run_tiled(x, net, plan_tiles(net, 2)).scores).all()
+
+
+def _count_prepares(monkeypatch) -> list:
+    calls = []
+    for module in (executor, kernels):
+        for name in ("prepare_fixed_conv", "prepare_binary_conv"):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_repeat_runs_prepare_nothing(reference_model, monkeypatch):
+    net = dataclasses.replace(reference_model.network)  # the same layers, no steps yet
+    x = random_mel_input(np.random.default_rng(22))
+    plan = plan_tiles(net, 4)
+    calls = _count_prepares(monkeypatch)
+    runs = (lambda: run_tiled(x, net, plan, 2), lambda: run_tiled(x, net, plan, 1),
+            lambda: run_monolithic(x, net, 2), lambda: run_monolithic(x, net, 1))
+    first = [run().scores for run in runs]
+    assert calls
+    calls.clear()
+    again = [run().scores for run in runs]
+    assert calls == []
+    assert all((a == b).all() for a, b in zip(first, again))
+
+
+def test_steps_kept_once_per_plan(reference_model):
+    net = dataclasses.replace(reference_model.network)
+    x = random_mel_input(np.random.default_rng(23))
+    for _ in range(2):
+        for tiles in (1, 2, 4):
+            run_tiled(x, net, plan_tiles(net, tiles))  # an equal plan, built anew
+        run_monolithic(x, net, threads=1)
+    assert len(executor._prepared(net).tiles) == 3
+    # a network run over more plans keeps only the latest PLANS_KEPT
+    table = ((FIXED_CONV, 3, 3, 16, 1), (BINARY_CONV, 3, 3, 16, 1), (FINAL_CONV, 1, 1, 4, 1))
+    small = quantize_model(gen_random_float_model(
+        1, table=table, input_shape=(3, 20, 1), classes=4)).network
+    xs = FixedTensor(3, 20, 1, np.ones((3, 20, 1), dtype=np.int32), small.input_qformat, 16)
+    for tiles in range(1, 21):
+        run_tiled(xs, small, plan_tiles(small, tiles))
+    kept = executor._prepared(small).tiles
+    assert [p.tile_count for p in kept] == list(range(21 - executor.PLANS_KEPT, 21))
+
+
+def test_derived_models_get_their_own_results(reference_model):
+    # The helpers copy specs shallowly and set fields in place; a network
+    # derived after the original has run must not run the original's steps.
+    model, net = reference_model, reference_model.network
+    x = random_mel_input(np.random.default_rng(24))
+    plan = plan_tiles(net, 4)
+    runs = (lambda n: run_monolithic(x, n, 1), lambda n: run_monolithic(x, n, 2),
+            lambda n: run_tiled(x, n, plan, 2))
+    base = [run(net).scores for run in runs]
+    layers = list(net.layers)
+    flipped = BnFold(-layers[3].fold.polarity, layers[3].fold.threshold)
+    layers[3] = dataclasses.replace(layers[3], fold=flipped)
+    bias = net.layers[6].fixed.bias + 1000
+    for derived in (with_output_shift(model, 6, 3), with_fixed_fields(model, 6, bias=bias),
+                    with_layers(model, layers)):
+        fresh = copy.deepcopy(derived.network)  # shares no object with the original
+        for run, b in zip(runs, base):
+            got = run(derived.network).scores
+            assert (got == run(fresh).scores).all()
+            assert (got != b).any()
+    bad = with_output_shift(model, 0, 0).network
+    for run in runs:
+        with pytest.raises(ValueError, match="exceeds 16-bit range"):
+            run(bad)
+    assert all((run(net).scores == b).all() for run, b in zip(runs, base))
+    # the same layers tuple, one layer given other parameters in place
+    own = dataclasses.replace(net, layers=tuple(copy.copy(layer) for layer in net.layers))
+    assert all((run(own).scores == b).all() for run, b in zip(runs, base))
+    shifted = with_output_shift(model, 6, 3).network
+    object.__setattr__(own.layers[6], "fixed", shifted.layers[6].fixed)
+    assert all((run(own).scores == run(shifted).scores).all() for run in runs)
 
 
 def test_run_logs_its_tile_plan(reference_model, caplog):
