@@ -34,7 +34,7 @@ from .kernels import (
     resolve_popcount_name,
     same_pad,
 )
-from .tensors import FixedTensor, PackedBinaryWeights, unpack, words_per_pixel
+from .tensors import FixedTensor, PackedBinaryWeights, words_per_pixel
 
 log = logging.getLogger(__name__)
 
@@ -221,10 +221,8 @@ def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None):
     if layer.kind == BINARY_CONV:
         return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride, region,
                                        prepared=step)
-    # final layer: +-1 activations become fixed-point values at qformat 0
-    dense = unpack(x).astype(np.int32)
-    ft = FixedTensor(x.height, x.width, x.channels, dense, 0, 32)
-    return conv2d_fixed(ft, layer.fixed, layer.stride, region, prepared=step)
+    # final layer: reads the +-1 activations from their words, at qformat 0
+    return conv2d_fixed(x, layer.fixed, layer.stride, region, prepared=step)
 
 
 def prepare_layer(layer: LayerSpec, x, region: ColRegion | None):
@@ -236,7 +234,7 @@ def prepare_layer(layer: LayerSpec, x, region: ColRegion | None):
     if layer.kind == BINARY_CONV:
         return prepare_binary_conv(x.shape, layer.weights, layer.stride, region,
                                    fold=layer.fold)
-    return prepare_fixed_conv(x.shape, 0, layer.fixed, layer.stride, region)
+    return prepare_fixed_conv(x.shape, 0, layer.fixed, layer.stride, region, bits=True)
 
 
 def check_input(x: FixedTensor, net: NetworkSpec) -> None:
@@ -481,10 +479,14 @@ def _run_tile(x: FixedTensor, tile: list) -> np.ndarray:
     """Run one tile's layers.  A layer whose step is still None has it
     prepared from its input first, and kept in its entry."""
     cur = x
-    for entry in tile:
+    for i, entry in enumerate(tile):
         layer, region, step = entry
         if step is None:
             step = entry[2] = prepare_layer(layer, cur, region)
+            log.debug("L%d step: columns [%d, %d), %d rows per block, %d blocks, "
+                      "%d 64-bit words per position, %d B of block buffers",
+                      i, region.out_lo, region.out_hi, step.rows, len(step.blocks),
+                      step.words_per_position, step.buffer_bytes)
         cur = run_layer(layer, cur, region, step)
     return cur.values
 

@@ -225,6 +225,45 @@ def _valid_span(out_len: int, offset: int, stride: int, tap: int, pad: int, size
     return max(0, lo), min(out_len, hi)
 
 
+def _tap_runs(spans, length: int) -> tuple[list[int], np.ndarray]:
+    """Runs of output indices along one axis with equal sets of in-image
+    taps, from each tap's valid span: (cuts, valid), run i covering
+    [cuts[i], cuts[i + 1]) with valid[i] its [taps] bool mask.  Every cut
+    is where some tap's span starts or ends, so neighbouring runs differ."""
+    cuts = sorted({0, length, *(end for a, b in spans if a < b for end in (a, b))})
+    valid = np.array([[a <= y < b for a, b in spans] for y in cuts[:-1]], dtype=bool)
+    return cuts, valid
+
+
+def _border_rects(g: _Geometry, h: int, ky: int, kx: int, stride: int):
+    """Split the output of g into rectangles of equal sets of in-image taps:
+    (rects, taps), rectangle i covering output rows [y0, y1) and columns xs
+    of rects[i] = (y0, y1, xs), with taps[i] its [ky * kx] bool mask of
+    in-image taps in the weights' tap order."""
+    row_cuts, row_valid = _tap_runs(
+        [_valid_span(g.out_h, 0, stride, dy, g.pad_rows[0], h) for dy in range(ky)], g.out_h)
+    col_cuts, col_valid = _tap_runs(
+        [_valid_span(g.out_w, g.region.out_lo, stride, dx, g.pad_left, g.region.full_width)
+         for dx in range(kx)], g.out_w)
+    rects = [(y0, y1, slice(c0, c1)) for y0, y1 in zip(row_cuts, row_cuts[1:])
+             for c0, c1 in zip(col_cuts, col_cuts[1:])]
+    taps = row_valid[:, None, :, None] & col_valid[None, :, None, :]
+    return rects, taps.reshape(len(rects), ky * kx)
+
+
+def _row_blocks(out_h: int, rows: int, rects) -> list:
+    """(r0, r1, parts) for each block of up to `rows` output rows [r0, r1):
+    parts lists (i, ys, xs) for each rectangle i of rects that meets the
+    block, with its rows local to the block and its columns."""
+    blocks = []
+    for r0 in range(0, out_h, rows):
+        r1 = min(r0 + rows, out_h)
+        blocks.append((r0, r1, tuple((i, slice(max(y0, r0) - r0, min(y1, r1) - r0), xs)
+                                     for i, (y0, y1, xs) in enumerate(rects)
+                                     if y0 < r1 and r0 < y1)))
+    return blocks
+
+
 # ---------------------------------------------------------------------------
 # fixed-point convolution
 # ---------------------------------------------------------------------------
@@ -296,16 +335,19 @@ class FixedConvParams:
             raise ValueError(f"weights and bias: worst-case accumulator {bound} "
                              "overflows 32 bits")
 
-# What the conv loops size their widest temporary to: the float64 matmul
-# block of a fixed conv, the xor block of a binary conv.  A layer's buffers
-# are allocated once per call and reused by every block, so its host memory
-# is its output plus a small multiple of this, whatever the feature map.
+# What the conv loops size their blocks of output rows to.  A fixed conv
+# fits its whole block in it: the float64 im2col and sums, the bools of a
+# folded threshold and the unpacked bits of a bits input.  A binary conv fits
+# its xor block, the widest of its buffers (its uint8 popcounts and uint16
+# sums take an eighth and a quarter more).  Each buffer is allocated once
+# per call and reused by every block, so a layer's host memory is its
+# output plus about this, whatever the feature map.
 BLOCK_BYTES = 1 << 20
 
 
 def _block_rows(out_h: int, row_bytes: int) -> int:
-    """Output rows per block: as many as keep a block's widest temporary,
-    row_bytes per output row, within BLOCK_BYTES, and at least one."""
+    """Output rows per block: as many as keep a block, row_bytes per output
+    row, within BLOCK_BYTES, and at least one."""
     return max(1, min(out_h, BLOCK_BYTES // max(row_bytes, 1)))
 
 
@@ -336,31 +378,40 @@ def _acc_limits(p: FixedConvParams, levels) -> np.ndarray:
 
 
 class FixedConvStep(NamedTuple):
-    """A fixed conv prepared for one layer, input shape and column region.
+    """A fixed conv prepared for one layer, input kind and shape, and column
+    region.
 
     Holds what the parameter checks found and every table that does not
     depend on the input's values: the geometry, the float64 filter matrix,
-    the worst-case accumulator factors, both output-range limits and the
-    epilogue's constants (offset for conv2d_fixed; limits and flip for
-    conv2d_fixed_sign, whose fold is set).  Passed as ``prepared=`` to the
-    conv it was built for, it leaves that call only the run: slab, the
-    data-dependent bound check and the block loop.
+    the block row ranges, the worst-case accumulator factors, both
+    output-range limits and the epilogue's constants (offset for
+    conv2d_fixed; limits for conv2d_fixed_sign, whose fold is set).  A fold
+    negates the weight column and mirrors the limits of each channel it
+    flips (not v >= a is -v >= 1 - a, exact on integer sums), so the sign
+    epilogue is one compare, with no flip at run time.  Over bits (``bits``,
+    a BinaryTensor input) the matrix is 2*W, applied to the bits as 0/1, and
+    ``wsum`` holds each border rectangle's in-image weight sum, which the
+    loop subtracts to make the sums those of the +-1 values.  Passed as
+    ``prepared=`` to the conv it was built for, it leaves that call only the
+    run: slab, the data-dependent bound check and the block loop.
     """
 
     params: FixedConvParams
     fold: BnFold | None
     stride: int
     col_region: ColRegion | None
+    bits: bool
     in_shape: tuple[int, int, int]
     geometry: _Geometry
     w_t: np.ndarray  # float64 [ky * kx * in][out]
     rows: int  # output rows per block
+    blocks: tuple  # (r0, r1, parts) per block; parts are wsum's rectangles
+    wsum: np.ndarray | None  # float64 [rect][out], bits input only
     acc_per_input: int  # taps * max |w|: the bound is this * max |input| + max |bias|
     max_bias: int
-    range_limits: tuple[np.ndarray, np.ndarray]  # _acc_limits of the output range
+    range_limits: tuple[np.ndarray, np.ndarray]  # sums below the first or from the second overflow
     offset: np.ndarray | None  # float64 bias + rounding half, conv2d_fixed
     limits: np.ndarray | None  # _acc_limits of the folded threshold, conv2d_fixed_sign
-    flip: np.ndarray | None
 
     def check(self, p: FixedConvParams, fold: BnFold | None, stride: int,
               col_region: ColRegion | None) -> None:
@@ -369,12 +420,33 @@ class FixedConvStep(NamedTuple):
                 (self.stride, self.col_region) != (stride, col_region):
             raise ValueError("prepared step was built for other conv arguments")
 
+    @property
+    def words_per_position(self) -> int:
+        """64-bit words the block loop fills per output position: float64 taps."""
+        return self.w_t.shape[0]
+
+    @property
+    def buffer_bytes(self) -> int:
+        """Bytes of the block buffers one run allocates."""
+        return self.rows * self.geometry.out_w * _fixed_position_bytes(
+            self.w_t.shape[0], self.params, self.fold, self.bits)
+
+
+def _fixed_position_bytes(taps: int, p: FixedConvParams, fold: BnFold | None,
+                          bits: bool) -> int:
+    # float64 im2col and sums, the threshold's bools padded to whole words,
+    # one tap's unpacked bits
+    return 8 * (taps + p.out_channels) + \
+        (32 * words_per_pixel(p.out_channels) if fold is not None else 0) + \
+        (p.in_channels if bits else 0)
+
 
 def prepare_fixed_conv(shape: tuple[int, int, int], qformat: int, p: FixedConvParams,
                        stride: int = 1, col_region: ColRegion | None = None,
-                       fold: BnFold | None = None) -> FixedConvStep:
-    """Check a fixed conv over inputs of shape [h][w][c] at qformat and build
-    its tables: for conv2d_fixed, or for conv2d_fixed_sign when fold is set."""
+                       fold: BnFold | None = None, *, bits: bool = False) -> FixedConvStep:
+    """Check a fixed conv over inputs of shape [h][w][c] at qformat, or over
+    +-1 bits at qformat 0 when bits is set, and build its tables: for
+    conv2d_fixed, or for conv2d_fixed_sign when fold is set."""
     if shape[2] != p.in_channels:
         raise ValueError(f"input has {shape[2]} channels, weights expect {p.in_channels}")
     if stride not in (1, 2):
@@ -386,83 +458,113 @@ def prepare_fixed_conv(shape: tuple[int, int, int], qformat: int, p: FixedConvPa
     ky, kx = p.kernel
     g = _conv_geometry(shape, ky, kx, stride, col_region)
     w_t = p.weights.reshape(p.out_channels, -1).T.astype(np.float64)
-    taps = w_t.shape[0]
     lo, hi = signed_range(p.output_bitwidth)
-    offset = limits = flip = None
+    below, above = _acc_limits(p, lo), _acc_limits(p, hi + 1)
+    offset = limits = None
     if fold is None:
         offset = p.bias.astype(np.float64) + (1 << p.output_shift >> 1)
     else:
         folded, flip = fold.folded()
         limits = _acc_limits(p, folded)
+        w_t[:, flip] *= -1
+        limits[flip] = 1 - limits[flip]
+        below, above = np.where(flip, 1 - above, below), np.where(flip, 1 - below, above)
+    rects, wsum = [], None
+    if bits:
+        w_t *= 2
+        rects, taps = _border_rects(g, shape[0], ky, kx, stride)
+        per_tap = p.weights.sum(axis=3, dtype=np.int64).reshape(p.out_channels, -1)
+        wsum = (taps.astype(np.int64) @ per_tap.T).astype(np.float64)
+    rows = _block_rows(g.out_h, g.out_w * _fixed_position_bytes(w_t.shape[0], p, fold, bits))
     return FixedConvStep(
-        p, fold, stride, col_region, tuple(shape), g, w_t,
-        _block_rows(g.out_h, g.out_w * max(taps, p.out_channels) * 8),
-        taps * _max_abs(p.weights), _max_abs(p.bias),
-        (_acc_limits(p, lo), _acc_limits(p, hi + 1)), offset, limits, flip)
+        p, fold, stride, col_region, bits, tuple(shape), g, w_t, rows,
+        tuple(_row_blocks(g.out_h, rows, rects)), wsum,
+        w_t.shape[0] * _max_abs(p.weights), _max_abs(p.bias), (below, above), offset, limits)
 
 
-def _fixed_conv_blocks(x: FixedTensor, s: FixedConvStep):
+def _fixed_conv_blocks(x: FixedTensor | BinaryTensor, s: FixedConvStep):
     """The accumulation loop of a prepared fixed conv, shared by conv2d_fixed
     and conv2d_fixed_sign.
 
     Yields (r0, r1, acc) for each block of output rows [r0, r1): acc is
-    float64 [(r1 - r0) * out_w][out] holding the exact sums of x*w, bias not
-    yet added, in a buffer the next block overwrites.  Every partial sum is
-    an exact integer below 2**52 (checked here, from the slab's values), so a
-    float64 matmul over im2col patches is bit-exact and uses BLAS instead of
+    float64 [(r1 - r0) * out_w][out] holding the exact sums of x*w (with the
+    fold's columns negated), bias not yet added, in a buffer the next block
+    overwrites.  The im2col is channel major: each tap and input channel
+    fills one long row of the block's positions, from the strided window of
+    the slab (its bits as 0/1 over a bits input).  Every partial sum is an
+    exact integer below 2**52 (checked here, from the slab's values), so a
+    float64 matmul over the im2col is bit-exact and uses BLAS instead of
     numpy's slow integer dot; consume the blocks under blas.single_thread().
-    The im2col patches and the product are both capped by BLOCK_BYTES.
     When the conservative output-range bound fails, each block's actual
     values are judged instead.
     """
     _check_input(x, s)
-    if x.qformat + s.params.weights_qformat != s.params.bias_qformat:
-        raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
     p, g, stride = s.params, s.geometry, s.stride
-    ky, kx = p.kernel
-    out_h, ow = g.out_h, g.out_w
-    slab = _column_slab(x.values, g)
-
-    max_in = max(int(slab.max(initial=0)), -int(slab.min(initial=0)))
+    if isinstance(x, BinaryTensor) != s.bits:
+        raise ValueError("the step was prepared for another input kind")
+    if s.bits:
+        # little-endian bytes: channel 8*j+b is bit b of byte j
+        slab = _column_slab(x.words.astype("<u4", copy=False), g)
+        max_in = 1
+    else:
+        if x.qformat + p.weights_qformat != p.bias_qformat:
+            raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
+        slab = _column_slab(x.values, g)
+        max_in = max(int(slab.max(initial=0)), -int(slab.min(initial=0)))
     bound = s.acc_per_input * max_in + s.max_bias
-    if bound >= 1 << 52:
+    # over bits, the partial sums of 0/1 times 2*w reach twice the bound
+    if bound * (2 if s.bits else 1) >= 1 << 52:
         raise ValueError("accumulator bound exceeds exact float64 range")
     judge = rounding_shift(bound, p.output_shift) > signed_range(p.output_bitwidth)[1]
 
-    wins = np.lib.stride_tricks.sliding_window_view(slab, (ky, kx), axis=(0, 1))
-    # [y][x][ky][kx][in]: the tap order of the weights
-    wins = wins[:(out_h - 1) * stride + 1:stride, :(ow - 1) * stride + 1:stride]
-    wins = wins.transpose(0, 1, 3, 4, 2)
-    taps = s.w_t.shape[0]
-    rows = s.rows
-    patches = np.empty((rows,) + wins.shape[1:])
-    product = np.empty((rows * ow, p.out_channels))
+    ky, kx = p.kernel
+    c, oc = p.in_channels, p.out_channels
+    ow, taps = g.out_w, s.w_t.shape[0]
+    patches_buf = np.empty(s.rows * ow * taps)
+    sums_buf = np.empty(s.rows * ow * oc)
     below, above = s.range_limits
-    for r0 in range(0, out_h, rows):
-        r1 = min(r0 + rows, out_h)
+    for r0, r1, parts in s.blocks:
         n = r1 - r0
-        np.copyto(patches[:n], wins[r0:r1])  # im2col, cast to float64
-        acc = product[:n * ow]
-        np.matmul(patches[:n].reshape(n * ow, taps), s.w_t, out=acc)
+        m = n * ow
+        patches = patches_buf[:taps * m].reshape(taps, m)
+        for dy in range(ky):
+            for dx in range(kx):
+                window = slab[dy + r0 * stride:dy + (r1 - 1) * stride + 1:stride,
+                              dx:dx + (ow - 1) * stride + 1:stride]
+                if s.bits:  # unpacked along the channel axis: [in][y][x] 0/1
+                    chans = np.unpackbits(window.view(np.uint8).transpose(2, 0, 1), axis=0,
+                                          count=c, bitorder="little")
+                else:
+                    chans = window.transpose(2, 0, 1)
+                t = (dy * kx + dx) * c
+                np.copyto(patches[t:t + c].reshape(c, n, ow), chans)
+        acc = sums_buf[:m * oc].reshape(m, oc)
+        np.matmul(patches.T, s.w_t, out=acc)
+        for i, ys, xs in parts:
+            acc.reshape(n, ow, oc)[ys, xs] -= s.wsum[i]
         if judge and ((acc < below).any() or (acc >= above).any()):
             raise ValueError(f"conv output exceeds {p.output_bitwidth}-bit range; "
                              "model output_shift is inconsistent")
         yield r0, r1, acc
 
 
-def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
+def conv2d_fixed(x: FixedTensor | BinaryTensor, p: FixedConvParams, stride: int = 1,
                  col_region: ColRegion | None = None, *,
                  prepared: FixedConvStep | None = None) -> FixedTensor:
     """Integer "same" convolution with per-channel bias and rounding rescale.
 
     out[y][x][k] = rshift_round(sum_in x*w + bias[k], output_shift); output
     spatial dims are ceil(H/stride) x ceil(W/stride).  Zero padding pixels
-    contribute nothing to the sum.  The output is written straight into the
-    storage dtype of ``output_bitwidth``.  ``prepared`` is this call's
-    prepare_fixed_conv step, reused from an earlier call; None builds it.
+    contribute nothing to the sum.  x is a FixedTensor, or a BinaryTensor
+    read as its +-1 values at qformat 0, block by block from its words.  The
+    output is written straight into the storage dtype of ``output_bitwidth``.
+    ``prepared`` is this call's prepare_fixed_conv step, reused from an
+    earlier call; None builds it.
     """
+    qformat = 0 if isinstance(x, BinaryTensor) else x.qformat
     if prepared is None:
-        prepared = prepare_fixed_conv(x.shape, x.qformat, p, stride, col_region)
+        prepared = prepare_fixed_conv(x.shape, qformat, p, stride, col_region,
+                                      bits=isinstance(x, BinaryTensor))
     else:
         prepared.check(p, None, stride, col_region)
     blocks = _fixed_conv_blocks(x, prepared)
@@ -480,7 +582,7 @@ def conv2d_fixed(x: FixedTensor, p: FixedConvParams, stride: int = 1,
                 acc *= 2.0 ** -shift
                 np.floor(acc, out=acc)
             out[r0 * ow:r1 * ow] = acc
-    out_q = x.qformat + p.weights_qformat - shift
+    out_q = qformat + p.weights_qformat - shift
     return FixedTensor(out_h, ow, p.out_channels, out.reshape(out_h, ow, p.out_channels),
                        out_q, p.output_bitwidth)
 
@@ -494,23 +596,25 @@ def conv2d_fixed_sign(x: FixedTensor, p: FixedConvParams, fold: BnFold, stride: 
     The rescale and the threshold fold into one compare per block of the
     exact float64 sums: with the polarity folded as in BnFold.folded, the bit
     is rounding_shift(v + bias, shift) >= t, which is v >= a for the
-    per-channel limit a of _acc_limits, then the polarity flip.  Only the
-    block's bools and the packed words are written.  ``prepared`` is as for
-    conv2d_fixed, built with this fold.
+    per-channel limit a of _acc_limits; a flipped channel's bit is
+    -v >= 1 - a, from its negated weight column.  The block's bools, padded
+    with zero channels to whole words, pack as one run.  ``prepared`` is as
+    for conv2d_fixed, built with this fold.
     """
     if prepared is None:
         prepared = prepare_fixed_conv(x.shape, x.qformat, p, stride, col_region, fold)
     else:
         prepared.check(p, fold, stride, col_region)
     blocks = _fixed_conv_blocks(x, prepared)
-    out_h, ow = prepared.geometry.out_h, prepared.geometry.out_w
-    words = np.zeros((out_h, ow, words_per_pixel(p.out_channels)), dtype="<u4")
+    out_h, ow, oc = prepared.geometry.out_h, prepared.geometry.out_w, p.out_channels
+    words = np.empty((out_h, ow, words_per_pixel(oc)), dtype=np.uint32)
+    on = np.zeros((prepared.rows * ow, words.shape[-1] * 32), dtype=bool)  # padding stays 0
     with single_thread():
         for r0, r1, acc in blocks:
-            bits = acc >= prepared.limits
-            bits ^= prepared.flip
-            write_bits(words[r0:r1], bits.reshape(r1 - r0, ow, p.out_channels))
-    return BinaryTensor(out_h, ow, p.out_channels, words.astype(np.uint32, copy=False))
+            m = (r1 - r0) * ow
+            np.greater_equal(acc, prepared.limits, out=on[:m, :oc])
+            write_bits(words[r0:r1], on[:m])
+    return BinaryTensor(out_h, ow, oc, words)
 
 
 # ---------------------------------------------------------------------------
@@ -584,21 +688,12 @@ def threshold_activation(acc: np.ndarray, fold: BnFold) -> BinaryTensor:
 # ---------------------------------------------------------------------------
 
 
-def _tap_runs(spans, length: int) -> tuple[list[int], np.ndarray]:
-    """Runs of output indices along one axis with equal sets of in-image
-    taps, from each tap's valid span: (cuts, valid), run i covering
-    [cuts[i], cuts[i + 1]) with valid[i] its [taps] bool mask.  Every cut
-    is where some tap's span starts or ends, so neighbouring runs differ."""
-    cuts = sorted({0, length, *(end for a, b in spans if a < b for end in (a, b))})
-    valid = np.array([[a <= y < b for a, b in spans] for y in cuts[:-1]], dtype=bool)
-    return cuts, valid
-
-
 def _xor_bufsize(m: int) -> int:
     """Ufunc buffer size for the [out][1] ^ [m] xor: twice the row, rounded
     up to a multiple of 16 and capped at 2**20, as numpy accepts.  Under
     numpy's default 8,192-element buffer an inner row shorter than about a
-    third of it goes through the buffer and the xor runs at half speed."""
+    third of it goes through the buffer and the xor runs at half speed.
+    It is set once around a block's passes, not around each xor."""
     return min(-(-2 * m // 16) * 16, 1 << 20)
 
 
@@ -607,13 +702,13 @@ class BinaryConvStep(NamedTuple):
     popcount backend.
 
     Holds what the parameter checks found and every table that does not
-    depend on the input's bits: the geometry, the filter words in popcount
-    width, the block row ranges with their ufunc buffer sizes and border
-    rectangles, and the epilogue's per-rectangle constants (offsets for
-    conv2d_binary; bounds in the sums' dtype and flip for
-    conv2d_binary_threshold, whose fold is set).  Passed as ``prepared=`` to the conv2d_binary_threshold
-    call it was built for, it leaves that call only the run: slab and block
-    loop.
+    depend on the input's bits: the geometry, the filter's 64-bit words and
+    the input words each pairs, the block row ranges with their ufunc buffer
+    sizes and border rectangles, and the epilogue's per-rectangle constants
+    (offsets for conv2d_binary; bounds in the sums' dtype and flip for
+    conv2d_binary_threshold, whose fold is set).  Passed as ``prepared=`` to
+    the conv2d_binary_threshold call it was built for, it leaves that call
+    only the run: slab and block loop.
     """
 
     weights: PackedBinaryWeights
@@ -624,8 +719,8 @@ class BinaryConvStep(NamedTuple):
     in_shape: tuple[int, int, int]
     geometry: _Geometry
     popcount_fn: object
-    wide: bool  # pairs of 32-bit words popcounted as one 64-bit word
-    wt: np.ndarray  # filter words [ky][kx][word][out]
+    wt: np.ndarray  # uint64 filter words [word][out]
+    pairs: tuple  # per 64-bit word, the (tap, word) of each input word it holds
     pc_dtype: type
     rows: int  # output rows per block
     blocks: tuple  # (r0, r1, xor bufsize, parts) per block; see _binary_conv_blocks
@@ -641,6 +736,19 @@ class BinaryConvStep(NamedTuple):
                 (stride, col_region, resolve_popcount_name(popcount)):
             raise ValueError("prepared step was built for other conv arguments")
 
+    @property
+    def words_per_position(self) -> int:
+        """64-bit words xored and popcounted per output position."""
+        return len(self.pairs)
+
+    @property
+    def buffer_bytes(self) -> int:
+        """Bytes of the block buffers one run allocates."""
+        oc = self.weights.out_channels
+        m = self.rows * self.geometry.out_w
+        return m * (8 + oc * (8 + np.dtype(self.pc_dtype).itemsize)
+                    + max(oc, 32 * words_per_pixel(oc)))
+
 
 def prepare_binary_conv(shape: tuple[int, int, int], w: PackedBinaryWeights,
                         stride: int = 1, col_region: ColRegion | None = None,
@@ -650,12 +758,16 @@ def prepare_binary_conv(shape: tuple[int, int, int], w: PackedBinaryWeights,
     its tables: for conv2d_binary, or for conv2d_binary_threshold when fold
     is set.
 
-    Taps outside the image read the slab's zero words, so each adds
-    popcount(filter tap) to the block sums rather than nothing.  The output
-    splits into rectangles of equal sets of in-image taps; rectangle r has
-    v[r] in-image taps, and corr[r] [out] is the int64 popcount(filter tap)
-    sum over its out-of-image taps, so that the in-image sum is pc - corr[r].
-    Those fold into each rectangle's offsets or bounds here.
+    The filter's 32-bit words, in tap and word order, pair into 64-bit words:
+    within a pixel when it holds an even number of words, else across
+    consecutive taps, with one word zero in both filter and window to make
+    up an odd total.  Taps outside the image read the slab's zero words, so
+    each adds popcount(filter tap) to the block sums rather than nothing.
+    The output splits into rectangles of equal sets of in-image taps
+    (_border_rects); rectangle r has v[r] in-image taps, and corr[r] [out]
+    is the int64 popcount(filter tap) sum over its out-of-image taps, so
+    that the in-image sum is pc - corr[r].  Those fold into each
+    rectangle's offsets or bounds here.
     """
     h, _, channels = shape
     if channels != w.in_channels:
@@ -668,35 +780,29 @@ def prepare_binary_conv(shape: tuple[int, int, int], w: PackedBinaryWeights,
 
     ky, kx, oc = w.ky, w.kx, w.out_channels
     g = _conv_geometry(shape, ky, kx, stride, col_region)
-    out_h, ow, region = g.out_h, g.out_w, g.region
+    out_h, ow = g.out_h, g.out_w
 
-    # Pairs of 32-bit words fuse into one 64-bit popcount when they divide evenly.
-    wide = words_per_pixel(channels) % 2 == 0
-    wwords = np.ascontiguousarray(w.words).view(np.uint64) if wide else w.words
+    wpp = words_per_pixel(channels)
+    if wpp % 2 == 0:  # the loop reads the slab as 64-bit words
+        pairs = [((t, j),) for t in range(ky * kx) for j in range(wpp // 2)]
+    else:
+        words = [(t, j) for t in range(ky * kx) for j in range(wpp)]
+        pairs = [tuple(words[i:i + 2]) for i in range(0, len(words), 2)]
+    flat = w.words.reshape(oc, -1)
+    flat = np.concatenate([flat, np.zeros((oc, 2 * len(pairs) - flat.shape[1]), np.uint32)], 1)
+    wt = np.ascontiguousarray(flat.view(np.uint64).T)  # [word][out]
     # The sum is at most ky*kx*channels; uint16 while that stays below the
     # dtype's maximum, so a threshold bound of sum + 1 still fits.
     pc_dtype = np.uint16 if ky * kx * channels < (1 << 16) - 1 else np.uint32
-    wt = np.ascontiguousarray(wwords.transpose(1, 2, 3, 0))  # [ky][kx][word][out]
 
-    row_cuts, row_valid = _tap_runs(
-        [_valid_span(out_h, 0, stride, dy, g.pad_rows[0], h) for dy in range(ky)], out_h)
-    col_cuts, col_valid = _tap_runs(
-        [_valid_span(ow, region.out_lo, stride, dx, g.pad_left, region.full_width)
-         for dx in range(kx)], ow)
-    rects = [(y0, y1, slice(c0, c1)) for y0, y1 in zip(row_cuts, row_cuts[1:])
-             for c0, c1 in zip(col_cuts, col_cuts[1:])]
-    v = np.outer(row_valid.sum(axis=1), col_valid.sum(axis=1)).ravel()
-    tap_pc = popcount_fn(wt).sum(axis=2, dtype=np.int64)  # [ky][kx][out]
-    in_image = col_valid @ (row_valid @ tap_pc.reshape(ky, -1)).reshape(-1, kx, oc)
-    corr = tap_pc.sum(axis=(0, 1)) - in_image.reshape(-1, oc)
+    rects, taps = _border_rects(g, h, ky, kx, stride)
+    v = taps.sum(axis=1)
+    tap_pc = popcount_fn(w.words).sum(axis=3, dtype=np.int64).reshape(oc, -1).T  # [tap][out]
+    corr = tap_pc.sum(axis=0) - taps.astype(np.int64) @ tap_pc
 
-    rows = _block_rows(out_h, ow * oc * wt.itemsize)
-    blocks = []
-    for r0 in range(0, out_h, rows):
-        r1 = min(r0 + rows, out_h)
-        parts = tuple((i, slice(max(y0, r0) - r0, min(y1, r1) - r0), xs)
-                      for i, (y0, y1, xs) in enumerate(rects) if y0 < r1 and r0 < y1)
-        blocks.append((r0, r1, _xor_bufsize((r1 - r0) * ow), parts))
+    rows = _block_rows(out_h, ow * oc * 8)
+    blocks = tuple((r0, r1, _xor_bufsize((r1 - r0) * ow), parts)
+                   for r0, r1, parts in _row_blocks(out_h, rows, rects))
 
     cv = channels * v[:, None]
     offsets = bounds = flip = None
@@ -707,8 +813,8 @@ def prepare_binary_conv(shape: tuple[int, int, int], w: PackedBinaryWeights,
         bounds = np.clip((cv - folded) // 2 + 1, 0, cv + 1) + corr
         bounds = bounds.astype(pc_dtype)[:, :, None, None]  # [rect][out][1][1]
     return BinaryConvStep(w, fold, stride, col_region, resolve_popcount_name(popcount),
-                          tuple(shape), g, popcount_fn, wide, wt, pc_dtype, rows,
-                          tuple(blocks), offsets, bounds, flip)
+                          tuple(shape), g, popcount_fn, wt, tuple(pairs), pc_dtype, rows,
+                          blocks, offsets, bounds, flip)
 
 
 def _binary_conv_blocks(x: BinaryTensor, s: BinaryConvStep):
@@ -718,31 +824,32 @@ def _binary_conv_blocks(x: BinaryTensor, s: BinaryConvStep):
     The loop is channel major: it yields (r0, r1, pc, parts, spare) for each
     block of output rows [r0, r1), where pc [out][r1 - r0][out_w] sums
     popcount(input ^ filter) over every tap and channel word, in a buffer
-    the next block overwrites.  Per tap and word, the strided input window
-    is copied into one contiguous row of the block's m positions, xored
-    against the filter's [out][1] column into a full-extent [out][m] buffer,
-    popcounted into a uint8 buffer and added; the wide inner axis is the
-    positions, so each ufunc runs over long rows whatever the tile.  The
-    buffers are sized once per call to keep the xor block within
-    BLOCK_BYTES, so no temporary grows with the feature map.
+    the next block overwrites.  Per 64-bit word, the strided input windows
+    of its one or two halves are copied into one contiguous row of the
+    block's m positions, xored against the filter's [out][1] column into a
+    full-extent [out][m] buffer, popcounted into a uint8 buffer and added;
+    the wide inner axis is the positions, so each ufunc runs over long rows
+    whatever the tile.  The buffers are sized once per call to keep the xor
+    block within BLOCK_BYTES, so no temporary grows with the feature map.
 
     ``parts`` lists (r, ys, xs) for each border rectangle r (see
     prepare_binary_conv) that meets the block: its rows, local to the block,
-    and columns.  ``spare`` is two flat uint8 views, each of at least pc.size
-    bytes, of the xor and popcount buffers, which are dead once pc is
-    yielded.
+    and columns.  ``spare`` is two flat uint8 views of the xor and popcount
+    buffers, which are dead once pc is yielded: the first of at least
+    pc.size bytes, the second of at least as many as the block's output
+    channels padded to whole words.
     """
     _check_input(x, s)
     slab = _column_slab(x.words, s.geometry)
-    if s.wide:
+    if slab.shape[-1] % 2 == 0:  # pairs within a pixel: read them as 64-bit words
         slab = slab.view(np.uint64)
-    ky, kx, words, oc = s.wt.shape
     ow, stride, rows, popcount_fn = s.geometry.out_w, s.stride, s.rows, s.popcount_fn
+    ky, kx, oc = s.weights.ky, s.weights.kx, s.wt.shape[1]
     size = rows * ow * oc
     pc_buf = np.empty(size, dtype=s.pc_dtype)
-    xor_buf = np.empty(size, dtype=slab.dtype)
-    count_buf = np.empty(size, dtype=np.uint8)
-    win_buf = np.empty(rows * ow, dtype=slab.dtype)
+    xor_buf = np.empty(size, dtype=np.uint64)
+    count_buf = np.empty(rows * ow * max(oc, 32 * words_per_pixel(oc)), dtype=np.uint8)
+    win_buf = np.empty(rows * ow, dtype=np.uint64)
     spare = xor_buf.view(np.uint8), count_buf
 
     for r0, r1, bufsize, parts in s.blocks:
@@ -752,19 +859,23 @@ def _binary_conv_blocks(x: BinaryTensor, s: BinaryConvStep):
         xor = xor_buf[:oc * m].reshape(oc, m)
         count = count_buf[:oc * m].reshape(oc, m)
         win = win_buf[:m]
+        halves = win.view(slab.dtype).reshape(n, ow, -1)
+        halves = [halves[:, :, h] for h in range(halves.shape[2])]
+        windows = [slab[dy + r0 * stride:dy + (r1 - 1) * stride + 1:stride,
+                        dx:dx + (ow - 1) * stride + 1:stride]
+                   for dy in range(ky) for dx in range(kx)]
         pc.fill(0)
-        for dy in range(ky):
-            for dx in range(kx):
-                window = slab[dy + r0 * stride:dy + (r1 - 1) * stride + 1:stride,
-                              dx:dx + (ow - 1) * stride + 1:stride]
-                for wi in range(words):
-                    np.copyto(win.reshape(n, ow), window[:, :, wi])
-                    old = np.setbufsize(bufsize)
-                    try:
-                        np.bitwise_xor(s.wt[dy, dx, wi, :, None], win, out=xor)
-                    finally:
-                        np.setbufsize(old)
-                    pc += popcount_fn(xor, out=count)
+        old = np.setbufsize(bufsize)
+        try:
+            for p, pair in enumerate(s.pairs):
+                for half, (t, wi) in zip(halves, pair):
+                    np.copyto(half, windows[t][:, :, wi])
+                if len(pair) < len(halves):
+                    halves[1].fill(0)  # the zero word that makes up an odd total
+                np.bitwise_xor(s.wt[p, :, None], win, out=xor)
+                pc += popcount_fn(xor, out=count)
+        finally:
+            np.setbufsize(old)
         yield r0, r1, pc.reshape(oc, n, ow), parts, spare
 
 
@@ -807,8 +918,9 @@ def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFol
     s = pc - corr, so each border rectangle compares pc against its bound
     plus corr, which still fits the popcount's dtype.  The compare writes
     bools [out][rows][cols] into the dead xor buffer; the flip, xored on
-    the transpose into the dead popcount buffer, leaves channels last for
-    the pack.  No int32 accumulator and no bool block is allocated.
+    the transpose into the dead popcount buffer, leaves channels last,
+    padded with zero channels to whole words, for one flat pack.  No int32
+    accumulator and no bool block is allocated.
     ``prepared`` is this call's prepare_binary_conv step, reused from an
     earlier call; None builds it.
     """
@@ -817,15 +929,17 @@ def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFol
     else:
         prepared.check(w, fold, stride, col_region, popcount)
     g, oc = prepared.geometry, w.out_channels
-    words = np.zeros((g.out_h, g.out_w, words_per_pixel(oc)), dtype="<u4")
+    words = np.empty((g.out_h, g.out_w, words_per_pixel(oc)), dtype=np.uint32)
     for r0, r1, pc, parts, (spare_a, spare_b) in _binary_conv_blocks(x, prepared):
         bits = spare_a[:pc.size].view(bool).reshape(pc.shape)
         for i, ys, xs in parts:
             np.less(pc[:, ys, xs], prepared.bounds[i], out=bits[:, ys, xs])
-        flipped = spare_b[:pc.size].view(bool).reshape(r1 - r0, g.out_w, oc)
-        np.bitwise_xor(bits.transpose(1, 2, 0), prepared.flip, out=flipped)
+        flipped = spare_b[:(r1 - r0) * g.out_w * words.shape[-1] * 32].view(bool)
+        flipped = flipped.reshape(r1 - r0, g.out_w, -1)
+        np.bitwise_xor(bits.transpose(1, 2, 0), prepared.flip, out=flipped[:, :, :oc])
+        flipped[:, :, oc:] = False  # padding channels
         write_bits(words[r0:r1], flipped)
-    return BinaryTensor(g.out_h, g.out_w, oc, words.astype(np.uint32, copy=False))
+    return BinaryTensor(g.out_h, g.out_w, oc, words)
 
 
 # ---------------------------------------------------------------------------

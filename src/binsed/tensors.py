@@ -121,19 +121,25 @@ def storage_dtype(bitwidth: int) -> np.dtype:
 
 
 def write_bits(words: np.ndarray, bits: np.ndarray) -> None:
-    """Write bits [..., C] (bool or 0/1 integers) into little-endian words
-    [..., ceil(C/32)], channel 32*w+b in bit b of word w.  Padding bits keep
-    their value, zero in a zeroed buffer."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    words.view(np.uint8)[..., :packed.shape[-1]] = packed
+    """Write bits [..., 32*nw] (bool or 0/1 integers) into little-endian words
+    [..., nw], channel 32*w+b in bit b of word w.  The bits are padded with
+    zero channels to whole words, so the block packs as one flat run."""
+    if bits.shape[-1] != WORD_BITS * words.shape[-1]:
+        raise ValueError(f"{bits.shape[-1]} bits per pixel do not fill {words.shape[-1]} words")
+    words[...] = np.packbits(bits, axis=None, bitorder="little").view("<u4").reshape(words.shape)
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack a trailing channel axis of {0,1} values into uint32 words
     [..., ceil(C/32)] with zero padding bits."""
-    words = np.zeros(bits.shape[:-1] + (words_per_pixel(bits.shape[-1]),), dtype="<u4")
+    c = bits.shape[-1]
+    words = np.empty(bits.shape[:-1] + (words_per_pixel(c),), dtype=np.uint32)
+    if c % WORD_BITS:
+        padded = np.zeros(bits.shape[:-1] + (WORD_BITS * words.shape[-1],), dtype=bool)
+        padded[..., :c] = bits
+        bits = padded
     write_bits(words, bits)
-    return words.astype(np.uint32, copy=False)
+    return words
 
 
 def _unpack_bits(words: np.ndarray, channels: int) -> np.ndarray:

@@ -21,11 +21,12 @@ from .executor import (
     check_input,
     count_macs,
     is_reference_topology,
+    prepare_layer,
     run_layer,
     run_monolithic,
 )
 from .frontend import FrontendConfig, mel_spectrogram
-from .kernels import conv2d_binary_threshold, resolve_popcount_name
+from .kernels import conv2d_binary_threshold, prepare_binary_conv, resolve_popcount_name
 from .tensors import unpack, unpack_weights
 
 
@@ -69,12 +70,13 @@ def bench(net: NetworkSpec, frontend_cfg=None, repetitions: int = 3,
           threads: int = 1, include_naive: bool = True) -> BenchReport:
     """Per-layer timing report plus packed-vs-naive and popcount comparisons.
 
-    Layer rows time each layer single-threaded on its own cached input; the
-    Total row times one end-to-end frontend + run_monolithic at ``threads``.
-    Each binary layer's packed time is its layer row; the naive comparison
-    runs the triple-loop oracle once per binary layer, so it dominates the
-    wall time of the benchmark itself.  The popcount comparison times the
-    largest binary layer's fused kernel with each backend.  Timing fields
+    Layer rows time each layer single-threaded on its own cached input, with
+    its step prepared beforehand, as inference keeps it; the Total row times
+    one end-to-end frontend + run_monolithic at ``threads``.  Each binary
+    layer's packed time is its layer row; the naive comparison runs the
+    triple-loop oracle once per binary layer, so it dominates the wall time
+    of the benchmark itself.  The popcount comparison times the largest
+    binary layer's prepared fused kernel with each backend.  Timing fields
     vary run to run; everything else (MACs, row structure) is deterministic.
     """
     if repetitions < 1:
@@ -90,15 +92,17 @@ def bench(net: NetworkSpec, frontend_cfg=None, repetitions: int = 3,
 
     macs = count_macs(net)
     names = net.layer_names()
-    inputs = [x]
-    for layer in net.layers[:-1]:
-        inputs.append(run_layer(layer, inputs[-1], None))
+    # each layer's step is prepared once, as inference keeps it, and not timed
+    inputs, steps = [x], []
+    for layer in net.layers:
+        steps.append(prepare_layer(layer, inputs[-1], None))
+        inputs.append(run_layer(layer, inputs[-1], None, steps[-1]))
 
     rows = [{"row": "Mel bins", "group": "Mel bins", "macs": None,
              "time_s": mel_time, "mac_per_s": None}]
     for i, layer in enumerate(net.layers):
-        t = _median_time(lambda layer=layer, xin=inputs[i]: run_layer(layer, xin, None),
-                         repetitions)
+        t = _median_time(lambda layer=layer, xin=inputs[i], step=steps[i]:
+                         run_layer(layer, xin, None, step), repetitions)
         m = macs["layers"][i]["macs_same_pad"]
         group = names[i]
         if is_reference_topology(net) and i >= len(net.layers) - 2:
@@ -137,12 +141,15 @@ def bench(net: NetworkSpec, frontend_cfg=None, repetitions: int = 3,
         times = {}
         for backend in ("native", "portable"):
             try:
-                times[backend] = _median_time(
-                    lambda b=backend: conv2d_binary_threshold(
-                        xin, layer.weights, layer.fold, layer.stride, popcount=b),
-                    repetitions)
+                step = prepare_binary_conv(xin.shape, layer.weights, layer.stride, None,
+                                           backend, layer.fold)
             except ValueError:  # no native instruction in this numpy
                 times[backend] = None
+                continue
+            times[backend] = _median_time(
+                lambda b=backend, step=step: conv2d_binary_threshold(
+                    xin, layer.weights, layer.fold, layer.stride, popcount=b,
+                    prepared=step), repetitions)
         comparisons["popcount_native_vs_portable"] = {
             "layer": names[biggest],
             "native_s": times["native"],

@@ -92,9 +92,9 @@ def with_frontend_fields(model, **fields):
 
 @st.composite
 def small_topologies(draw):
-    """A fixed first layer, 1-3 binary layers and a final conv, on a small
-    input; the halo ranges far beyond the reference topology's 20.  Even
-    kernels pad one pixel more on the right than on the left."""
+    """A fixed first layer, 1-3 binary layers and a final conv of up to 3x3,
+    on a small input; the halo ranges far beyond the reference topology's
+    20.  Even kernels pad one pixel more on the right than on the left."""
     channels = st.integers(16, 70)
     k = draw(st.integers(1, 5))
     table = [(FIXED_CONV, k, k, draw(channels), draw(st.sampled_from((1, 2))))]
@@ -103,6 +103,7 @@ def small_topologies(draw):
                       draw(st.integers(1, 5)), draw(channels),
                       draw(st.sampled_from((1, 2)))))
     classes = draw(st.integers(2, 8))
-    table.append((FINAL_CONV, 1, 1, classes, 1))
+    table.append((FINAL_CONV, draw(st.integers(1, 3)), draw(st.integers(1, 3)), classes,
+                  draw(st.sampled_from((1, 2)))))
     shape = (draw(st.integers(3, 11)), 2 * draw(st.integers(4, 39)) + 1, 1)
     return tuple(table), shape, classes, draw(st.integers(0, 2**32 - 1))

@@ -37,12 +37,14 @@ from binsed.executor import (
     REFERENCE_TABLE,
     _backward_intervals,
     l1_tile_count,
+    prepare_layer,
+    run_layer,
 )
 from binsed import executor, kernels
 from binsed.kernels import BLOCK_BYTES, BnFold, rounding_shift
 from binsed.model_io import gen_random_float_model, quantize_model
 from binsed.oracle import reference_network_run
-from binsed.tensors import FixedTensor, pack_weights
+from binsed.tensors import FixedTensor, pack_weights, words_per_pixel
 from tests.conftest import (
     binary_first_layers,
     random_mel_input,
@@ -231,22 +233,35 @@ def test_tiling_theorem_over_random_topologies(case):
 
 @pytest.mark.parametrize("tiles, threads", [(1, 1), (2, 2)])
 def test_inference_peak_memory(reference_model, tiles, threads):
-    # A binarizing layer writes packed bits from its accumulation blocks, so
-    # a running tile holds at most one layer's block buffers (two blocks'
-    # worth: im2col and product, or xor plus the narrower popcount and sum
-    # blocks, whose dead buffers take the bools), the final layer's dense
-    # int32 input with its slab and unpack temporaries, and small change.
-    # All tiles may peak at once.
+    # Every layer reads and writes packed bits (the final conv reads its
+    # input's words block by block), so a running tile holds at most one
+    # layer's block buffers (a fixed conv's whole block within BLOCK_BYTES,
+    # or a binary conv's xor block with its popcount and sum blocks, an
+    # eighth and a quarter more), its largest packed map three times over
+    # (input, slab and output) and small change.  All tiles may peak at once.
     net = reference_model.network
     x = random_mel_input(np.random.default_rng(15))
     plan = plan_tiles(net, tiles)
-    h, _, c = net.shape_chain()[-2]
+    chain = net.shape_chain()
     bound = 256 * 1024
     for olo, ohi in plan.out_ranges:
-        lo, hi = _backward_intervals(net, olo, ohi)[-2]
-        bound += 2 * BLOCK_BYTES + 2 * h * (hi - lo) * c * 4
+        intervals = _backward_intervals(net, olo, ohi)
+        packed = max(chain[l][0] * (hi - lo) * words_per_pixel(chain[l][2]) * 4
+                     for l, (lo, hi) in enumerate(intervals[1:-1], 1))
+        bound += BLOCK_BYTES * 11 // 8 + 3 * packed
     if tiles == 1:
         peak = traced_peak(lambda: run_monolithic(x, net, threads=1))
+        # One thread peaks within one layer: the block buffers its step
+        # reports, its input and slab, its output and small change.
+        layer_bounds, cur = [], x
+        for layer in net.layers:
+            step = prepare_layer(layer, cur, None)
+            out = run_layer(layer, cur, None, step)
+            maps = [t.words if hasattr(t, "words") else t.values for t in (cur, out)]
+            layer_bounds.append(step.buffer_bytes + 2 * maps[0].nbytes + maps[1].nbytes)
+            cur = out
+        assert peak < max(layer_bounds) + 128 * 1024, \
+            f"peak {peak:,} B, layer bounds {layer_bounds}"
     else:
         peak = traced_peak(lambda: run_tiled(x, net, plan, threads))
     assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
@@ -455,6 +470,24 @@ def test_derived_models_get_their_own_results(reference_model):
     shifted = with_output_shift(model, 6, 3).network
     object.__setattr__(own.layers[6], "fixed", shifted.layers[6].fixed)
     assert all((run(own).scores == run(shifted).scores).all() for run in runs)
+
+
+def test_prepared_steps_logged_once(reference_model, caplog):
+    # one line per step, when it is prepared; later runs prepare nothing
+    net = dataclasses.replace(reference_model.network)
+    x = random_mel_input(np.random.default_rng(6))
+    caplog.set_level(logging.DEBUG, logger="binsed.executor")
+    run_monolithic(x, net, threads=1)
+    run_monolithic(x, net, threads=1)
+    run_tiled(x, net, plan_tiles(net, 2))
+    steps = [r.getMessage() for r in caplog.records if " step: " in r.getMessage()]
+    assert len(steps) == 3 * len(net.layers)
+    assert steps[:2] == [
+        "L0 step: columns [0, 400), 7 rows per block, 10 blocks, "
+        "9 64-bit words per position, 1008000 B of block buffers",
+        "L1 step: columns [0, 200), 10 rows per block, 4 blocks, "
+        "5 64-bit words per position, 1424000 B of block buffers"]
+    assert steps[7].startswith("L0 step: columns [0, 209), ")
 
 
 def test_run_logs_its_tile_plan(reference_model, caplog):

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -341,21 +340,20 @@ def test_fixed_conv_rejects_shift_outside_exact_range(shift):
 
 
 def test_fixed_conv_frees_im2col_before_epilogue(reference_model):
-    # On the reference L0 shape the im2col patches are 1.8 MB; they must be
-    # released before the int32 cast, so the peak is the float64 matmul
-    # output plus the int32 result plus small change.
+    # On the reference L0 shape a fixed conv, unfused or fused, holds its
+    # output, the zero-extended input slab and one block, whose im2col, sums
+    # and bools fit BLOCK_BYTES together; a whole-map im2col or product
+    # (1.8 and 6.6 MB) would break the bound.
     layer = reference_model.network.layers[0]
     x = random_mel_input(np.random.default_rng(13))
-    conv2d_fixed(x, layer.fixed, layer.stride)  # warm-up
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        y = conv2d_fixed(x, layer.fixed, layer.stride)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    bound = y.values.size * (8 + 4) + 500_000
-    assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
+    slab = (x.height + 2) * (x.width + 2) * x.values.itemsize
+    for conv, out in (
+            (lambda: conv2d_fixed(x, layer.fixed, layer.stride), lambda y: y.values),
+            (lambda: conv2d_fixed_sign(x, layer.fixed, layer.fold, layer.stride),
+             lambda y: y.words)):
+        peak = traced_peak(conv)
+        bound = kernels.BLOCK_BYTES + out(conv()).nbytes + slab + 128 * 1024
+        assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +508,10 @@ def fused_cases(draw):
 # 2 rows under a 3-row kernel: both rows have 2 in-image taps, not the same two
 @example((2, 2, 40, 5, 3, 3, 1, kernels.BLOCK_BYTES, 3), "native")
 @example((1, 2, 33, 7, 5, 4, 1, 1, 4), "portable")
+# 1 and 3 words per pixel: 9 and 27 words per position, each pairing words
+# across taps and ending on the zero word
+@example((5, 7, 32, 33, 3, 3, 2, 4096, 5), "native")
+@example((4, 9, 96, 40, 3, 3, 1, 1, 6), "portable")
 def test_fused_binary_threshold_matches_unfused(case, popcount):
     # Out-of-image taps read zero words and drop out through per-rectangle
     # corrections: unfused must match the naive sum over in-image taps, and
@@ -557,8 +559,29 @@ def test_fused_fixed_sign_matches_unfused(case, shift):
     assert (got.words == want.words).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(fused_cases(), st.integers(0, 31))
+def test_fixed_conv_over_bits_matches_unpacked(case, shift):
+    # The final conv reads its +-1 input from the words: 0/1 bits times 2*w,
+    # less each border rectangle's in-image weight sum.
+    h, w, c, oc, ky, kx, stride, block, seed = case
+    rng = np.random.default_rng(seed)
+    wmax = (1 << 29) // (ky * kx * c)
+    wts = rng.integers(-wmax, wmax, (oc, ky, kx, c), endpoint=True).astype(np.int32)
+    bias = rng.integers(-(1 << 29), 1 << 29, oc).astype(np.int32)
+    p = FixedConvParams(wts, 5, bias, 5, shift, 32)
+    region, lo, hi = random_region(rng, w, kx, stride)
+    x = pack(rng.choice([-1, 1], (h, w, c)).astype(np.int8)[:, lo:hi])
+    with mock.patch.object(kernels, "BLOCK_BYTES", block):
+        got = conv2d_fixed(x, p, stride, region)
+    want = conv2d_fixed(FixedTensor(*x.shape, unpack(x).astype(np.int32), 0, 32), p, stride,
+                        region)
+    assert (got.qformat, got.values.dtype) == (want.qformat, want.values.dtype)
+    assert (got.values == want.values).all()
+
+
 def test_xor_bufsize_restored():
-    # The binary conv scopes a small ufunc buffer to each xor; the caller's
+    # The binary conv scopes a small ufunc buffer to each block; the caller's
     # buffer size must survive every return, also through an exception.
     rng = np.random.default_rng(16)
     x = pack(rng.choice([-1, 1], (6, 9, 64)).astype(np.int8))
@@ -579,8 +602,8 @@ def test_xor_bufsize_restored():
 @pytest.mark.parametrize("layer_index", [1, 2])
 def test_fused_binary_layer_peak(reference_model, layer_index):
     # A fused binary layer holds its packed output, the zero-extended input
-    # slab and three block buffers: the xor words, their uint8 popcounts and
-    # the running sums.  Its bools go into the dead xor and popcount
+    # slab and three block buffers: the 64-bit xor words, their uint8
+    # popcounts and the uint16 running sums.  Its bools go into the dead xor and popcount
     # buffers, so one bool block more (block bytes) would break the bound.
     net = reference_model.network
     x = random_mel_input(np.random.default_rng(17))
@@ -591,14 +614,12 @@ def test_fused_binary_layer_peak(reference_model, layer_index):
     out_h, pt, pb = same_pad(x.height, ky, layer.stride)
     out_w, pl, pr = same_pad(x.width, kx, layer.stride)
     oc = layer.weights.out_channels
-    in_words = x.words.shape[-1]
-    word_bytes = 8 if in_words % 2 == 0 else 4
-    slab = (x.height + pt + pb) * (x.width + pl + pr) * in_words * 4
-    block = kernels._block_rows(out_h, out_w * oc * word_bytes) * out_w * oc
+    slab = (x.height + pt + pb) * (x.width + pl + pr) * x.words.shape[-1] * 4
+    block = kernels._block_rows(out_h, out_w * oc * 8) * out_w * oc
     out = out_h * out_w * -(-oc // 32) * 4
     peak = traced_peak(
         lambda: conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride))
-    bound = out + slab + block * (word_bytes + 1 + 2) + 128 * 1024
+    bound = out + slab + block * (8 + 1 + 2) + 128 * 1024
     assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
