@@ -38,22 +38,34 @@ EXIT_BUDGET_EXCEEDED = 5
 
 
 def read_wav(path) -> np.ndarray:
-    """Read a 16 kHz mono 16-bit PCM WAV file; anything else is rejected."""
+    """Read a 16 kHz mono 16-bit PCM WAV file; anything else is refused with
+    an InputFormatError that names the file and the part that failed."""
     try:
-        with wave.open(str(path), "rb") as wav:
-            rate = wav.getframerate()
-            channels = wav.getnchannels()
-            width = wav.getsampwidth()
-            frames = wav.readframes(wav.getnframes())
-    except (wave.Error, OSError, EOFError) as e:
-        raise InputFormatError(f"cannot read WAV file {path}: {e}") from e
+        f = open(path, "rb")
+    except OSError as e:
+        raise InputFormatError(f"WAV file {path}: cannot open: {e}") from e
+    with f:
+        # The wave module reports a damaged header with whatever its chunk
+        # reader raises (wave.Error, EOFError, a bare RuntimeError from a
+        # seek past the file, ...), and which differs between versions.
+        try:
+            with wave.open(f, "rb") as wav:
+                rate, channels = wav.getframerate(), wav.getnchannels()
+                width, declared = wav.getsampwidth(), wav.getnframes()
+                frames = wav.readframes(declared)
+        except Exception as e:
+            raise InputFormatError(
+                f"WAV file {path}: bad header: {str(e) or type(e).__name__}") from e
     if rate != frontend.SAMPLE_RATE:
-        raise InputFormatError(f"sample rate {rate} Hz, expected {frontend.SAMPLE_RATE} "
-                               "(no resampling)")
+        raise InputFormatError(f"WAV file {path}: sample rate {rate} Hz, expected "
+                               f"{frontend.SAMPLE_RATE} (no resampling)")
     if channels != 1:
-        raise InputFormatError(f"{channels} channels, expected mono")
+        raise InputFormatError(f"WAV file {path}: {channels} channels, expected mono")
     if width != 2:
-        raise InputFormatError(f"bit depth {8 * width}, expected 16")
+        raise InputFormatError(f"WAV file {path}: bit depth {8 * width}, expected 16")
+    if len(frames) != 2 * declared:
+        raise InputFormatError(f"WAV file {path}: data chunk holds {len(frames)} bytes, "
+                               f"its header declares {declared} 16-bit samples")
     return np.frombuffer(frames, dtype="<i2")
 
 

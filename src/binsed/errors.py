@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto distinct exit codes: input format 2, model corrupt 3,
-shape mismatch 4, memory budget exceeded (strict mode) 5.
+shape mismatch 4, memory budget exceeded (strict mode) 5, and any other
+package error, such as a tile worker that died, 1.
 """
 
 
@@ -43,3 +44,7 @@ class TrailingDataError(ModelFormatError):
 
 class BudgetExceededError(BinsedError):
     """Memory footprint exceeds the configured budget (strict mode only)."""
+
+
+class WorkerError(BinsedError):
+    """A tile worker process died during a run; the next run forks a new one."""

@@ -1,25 +1,30 @@
 """Network descriptors and end-to-end execution.  There is one executor:
 tiles along the time axis, each extended by a derived halo so every plan is
-bit-exact, with threads running over tiles only.  Monolithic execution is
-the plan with one tile per worker.  Each (network, tile plan) prepares its
-layer steps once, on its first run, and every later run reuses them (see
-_Prepared); tiles run on one persistent pool per worker count.  Also MAC
+bit-exact, with parallel workers running over tiles only.  Monolithic
+execution is the plan with one tile per worker.  Each (network, tile plan)
+prepares its layer steps once, on its first run, and every later run reuses
+them (see _Prepared); the caller shares a plan's tiles with persistent
+forked worker processes, one set per worker count (see _Worker).  Also MAC
 accounting and memory footprint reporting; the timing report lives in
 timing.py.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import logging
 import os
+import pickle
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, WorkerError
 from .kernels import (
     BnFold,
     ColRegion,
@@ -159,6 +164,13 @@ class NetworkSpec:
         if c != self.classes:
             raise ValueError(f"final layer emits {c} channels, expected {self.classes} classes")
 
+    def __getstate__(self):
+        # Prepared steps stay with the object that ran them: a pickle or a
+        # copy starts with none (see _Prepared).
+        state = dict(vars(self))
+        state.pop("_prepared", None)
+        return state
+
     def shape_chain(self) -> list[tuple[int, int, int]]:
         """[input shape, shape after layer 0, ...] under same padding."""
         h, w, c = self.input_shape
@@ -209,10 +221,12 @@ class InferenceResult:
         return self.scores * 2.0 ** (-self.score_qformat) / self.divisor
 
 
-def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None):
+def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None,
+              popcount: str | None = None):
     """One layer as inference runs it, over the columns region names (the
     whole map when None).  ``step`` is the layer's prepare_layer step for
-    this input shape and region, or None to build it in the call."""
+    this input shape, region and popcount backend (None: the platform's), or
+    None to build it in the call."""
     # A binarizing layer's only output is bits, so its threshold runs fused
     # into the conv's own accumulation blocks.
     if layer.kind == FIXED_CONV:
@@ -220,12 +234,13 @@ def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None):
                                  prepared=step)
     if layer.kind == BINARY_CONV:
         return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride, region,
-                                       prepared=step)
+                                       popcount, prepared=step)
     # final layer: reads the +-1 activations from their words, at qformat 0
     return conv2d_fixed(x, layer.fixed, layer.stride, region, prepared=step)
 
 
-def prepare_layer(layer: LayerSpec, x, region: ColRegion | None):
+def prepare_layer(layer: LayerSpec, x, region: ColRegion | None,
+                  popcount: str | None = None):
     """The step run_layer reuses for inputs shaped like x over region: the
     layer's checks and tables, none of which depend on x's values."""
     if layer.kind == FIXED_CONV:
@@ -233,7 +248,7 @@ def prepare_layer(layer: LayerSpec, x, region: ColRegion | None):
                                   layer.fold)
     if layer.kind == BINARY_CONV:
         return prepare_binary_conv(x.shape, layer.weights, layer.stride, region,
-                                   fold=layer.fold)
+                                   popcount, layer.fold)
     return prepare_fixed_conv(x.shape, 0, layer.fixed, layer.stride, region, bits=True)
 
 
@@ -261,56 +276,6 @@ def _workers(threads: int) -> int:
     # oversubscribing the CPUs this process may use only adds contention
     cpus = _cpus()
     return min(threads, len(cpus) if cpus is not None else os.cpu_count() or 1)
-
-
-def _pin_worker(cpus) -> None:
-    """Tile-pool initializer: pin the calling thread to the next CPU of cpus.
-
-    Two workers that the scheduler starts on one CPU can stay there for a
-    whole run and take twice as long as one; a pinned worker cannot.
-    """
-    try:
-        os.sched_setaffinity(0, {next(cpus)})
-    except OSError:  # the CPU left the set since it was read; run unpinned
-        pass
-
-
-# One persistent tile pool per worker count, with the CPU set its threads
-# were pinned over.
-_pools: dict[int, tuple[tuple[int, ...] | None, ThreadPoolExecutor]] = {}
-_pools_lock = threading.Lock()
-
-
-def _forget_pools() -> None:
-    # A forked child inherits the pools but none of their threads, and the
-    # lock perhaps held; it starts with neither.
-    global _pools_lock
-    _pools.clear()
-    _pools_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pools)
-
-
-def _tile_pool(workers: int) -> ThreadPoolExecutor:
-    """The persistent pool of ``workers`` tile threads.  Each thread is pinned
-    to its own CPU of the caller's affinity set, where the platform can pin
-    threads; a pool whose set has changed since is replaced."""
-    cpus = _cpus()
-    with _pools_lock:
-        held = _pools.get(workers)
-        if held is not None and held[0] == cpus:
-            return held[1]
-        pinning = {}
-        if cpus is not None and hasattr(os, "sched_setaffinity"):
-            pinning = {"initializer": _pin_worker, "initargs": (itertools.cycle(cpus),)}
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="binsed-tile",
-                                  **pinning)
-        _pools[workers] = cpus, pool
-    if held is not None:
-        held[1].shutdown(wait=False)
-    return pool
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +360,11 @@ def _backward_intervals(net: NetworkSpec, out_lo: int, out_hi: int) -> list[tupl
     return intervals
 
 
-# Tile plans whose steps a network keeps; the oldest is dropped first.
+# Tile plans whose steps a network (and each tile worker) keeps; the oldest
+# is dropped first.
 PLANS_KEPT = 8
+
+_keys = itertools.count()  # one per _Prepared, never reused within a process
 
 
 def _layer_params(layer: LayerSpec) -> tuple:
@@ -414,11 +382,15 @@ class _Prepared:
     identity), its input contract and the popcount backend are still those;
     otherwise it puts a new, empty cache on the network.  A shallow copy of
     a network shares its cache only until either is given other layers.
+    ``key`` names this cache to the tile workers, which learn the network
+    once per key; a stale cache's successor has a new key, so these checks
+    alone decide when the workers' steps are stale too.
     """
 
-    __slots__ = ("layers", "params", "contract", "popcount", "plans", "tiles")
+    __slots__ = ("key", "layers", "params", "contract", "popcount", "plans", "tiles")
 
     def __init__(self, net: NetworkSpec):
+        self.key = next(_keys)
         self.layers = net.layers
         self.params = [_layer_params(layer) for layer in net.layers]
         self.contract = net.input_shape, net.input_qformat
@@ -475,20 +447,322 @@ def _plan_regions(net: NetworkSpec, plan: TilePlan) -> list:
     return tiles
 
 
-def _run_tile(x: FixedTensor, tile: list) -> np.ndarray:
+def _run_tile(x: FixedTensor, tile: list, popcount: str | None = None) -> np.ndarray:
     """Run one tile's layers.  A layer whose step is still None has it
     prepared from its input first, and kept in its entry."""
     cur = x
     for i, entry in enumerate(tile):
         layer, region, step = entry
         if step is None:
-            step = entry[2] = prepare_layer(layer, cur, region)
+            step = entry[2] = prepare_layer(layer, cur, region, popcount)
             log.debug("L%d step: columns [%d, %d), %d rows per block, %d blocks, "
                       "%d 64-bit words per position, %d B of block buffers",
                       i, region.out_lo, region.out_hi, step.rows, len(step.blocks),
                       step.words_per_position, step.buffer_bytes)
-        cur = run_layer(layer, cur, region, step)
+        cur = run_layer(layer, cur, region, step, popcount)
     return cur.values
+
+
+# ---------------------------------------------------------------------------
+# tile workers
+# ---------------------------------------------------------------------------
+
+
+def _dumps(message) -> bytes:
+    return pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _write(fd: int, data: bytes) -> None:
+    """Write one message: its 8-byte length, then its bytes."""
+    for view in (memoryview(len(data).to_bytes(8, "little")), memoryview(data)):
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _read(fd: int):
+    """Read and unpickle one message _write wrote; EOFError once every
+    writer has closed the pipe."""
+    def take(n: int) -> bytearray:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        while view:
+            got = os.readv(fd, [view])
+            if not got:
+                raise EOFError("pipe closed")
+            view = view[got:]
+        return buf
+    return pickle.loads(take(int.from_bytes(take(8), "little")))
+
+
+def _serve(requests: int, replies: int, nets: dict[int, tuple]) -> None:
+    """A tile worker's loop, until its caller closes the request pipe.
+
+    A request is (key, network, plan, tile indices, input): the key is the
+    caller's _Prepared key, and network, a (NetworkSpec, popcount backend)
+    pair, is None when the caller has sent this key before.  The reply is
+    the tiles' final-layer maps in order, the exception a tile raised, or
+    None when the worker no longer holds the network, which the caller
+    then sends again.  nets maps keys to the networks the worker holds, at
+    first the one it was forked with.  The worker keeps its steps for its
+    last PLANS_KEPT (key, plan) pairs and each network while one of them
+    uses it.
+    """
+    kept: dict[tuple, list] = {}  # (key, plan) -> tiles, oldest first
+    while True:
+        try:
+            key, network, plan, picks, x = _read(requests)
+        except EOFError:
+            return
+        try:
+            if network is not None:
+                nets[key] = network
+            if key not in nets:
+                reply = None
+            else:
+                net, popcount = nets[key]
+                tiles = kept.get((key, plan))
+                if tiles is None:
+                    tiles = kept[key, plan] = _plan_regions(net, plan)
+                    if len(kept) > PLANS_KEPT:
+                        oldest = next(iter(kept))
+                        del kept[oldest]
+                        if all(k != oldest[0] for k, _ in kept):
+                            del nets[oldest[0]]
+                reply = [_run_tile(x, tiles[t], popcount) for t in picks]
+        except Exception as e:
+            reply = e
+        try:
+            data = _dumps(reply)
+            if isinstance(reply, Exception):
+                pickle.loads(data)
+        except Exception:  # an exception that does not survive pickling goes back as text
+            data = _dumps(RuntimeError(f"{type(reply).__name__}: {reply}"))
+        try:
+            _write(replies, data)
+        except BrokenPipeError:  # the caller is gone
+            return
+
+
+class _Worker:
+    """One persistent tile worker: a forked child process pinned to one CPU
+    (see _serve), and the caller's ends of its request and reply pipes."""
+
+    def __init__(self, cpu: int | None, key: int, network: tuple):
+        req_r, req_w = os.pipe()
+        rep_r, rep_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (req_r, req_w, rep_r, rep_w):
+                os.close(fd)
+            raise
+        if pid == 0:  # the worker: it never returns from here
+            code = 1
+            try:
+                os.close(req_w)
+                os.close(rep_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the caller's
+                if cpu is not None:
+                    try:
+                        os.sched_setaffinity(0, {cpu})
+                    except OSError:  # the CPU left the set since it was read
+                        pass
+                _serve(req_r, rep_w, {key: network})
+                code = 0
+            finally:
+                os._exit(code)  # never the caller's atexit handlers or stdio buffers
+        os.close(req_r)
+        os.close(rep_w)
+        self.pid, self.requests, self.replies = pid, req_w, rep_r
+        self.known = {key}  # keys whose network this worker has
+        self.pending = None
+
+    def send(self, key: int, network: tuple, request: tuple) -> None:
+        self.pending = key, network, request
+        self._write(key, None if key in self.known else network, *request)
+        self.known.add(key)
+
+    def receive(self):
+        reply = self._read()
+        if reply is None:  # it has dropped the network since: send it again
+            key, network, request = self.pending
+            self._write(key, network, *request)
+            reply = self._read()
+        return reply
+
+    def _write(self, *message) -> None:
+        try:
+            _write(self.requests, _dumps(message))
+        except OSError as e:
+            raise WorkerError(f"tile worker {self.pid} is gone ({e})") from e
+
+    def _read(self):
+        try:
+            return _read(self.replies)
+        except (OSError, EOFError) as e:
+            raise WorkerError(f"tile worker {self.pid} is gone ({e})") from e
+
+    def stop(self, kill: bool = False) -> None:
+        """Close the caller's ends, so the worker exits at its next read,
+        and reap it; kill it first when it may be mid-tile."""
+        for fd in (self.requests, self.replies):
+            os.close(fd)
+        try:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5
+            while not os.waitpid(self.pid, os.WNOHANG)[0]:
+                if time.monotonic() > deadline:
+                    os.kill(self.pid, signal.SIGKILL)
+                    os.waitpid(self.pid, 0)
+                    break
+                time.sleep(0.001)
+        except (ProcessLookupError, ChildProcessError):  # reaped already
+            pass
+
+
+class _Crew:
+    """The workers - 1 tile workers of one worker count, with the CPU set
+    they were pinned over; the caller itself is the remaining worker."""
+
+    def __init__(self, cpus: tuple[int, ...] | None):
+        self.cpus = cpus
+        self.lock = threading.Lock()  # one run at a time talks to the workers
+        self.workers: list[_Worker] = []
+
+    def stop(self, kill: bool = False) -> None:
+        for worker in self.workers:
+            worker.stop(kill)
+        self.workers = []
+
+
+# One crew per worker count, forked when first needed (see _threaded_runs)
+# and kept for the process.
+_crews: dict[int, _Crew] = {}
+_crews_lock = threading.Lock()
+
+
+def _crew(workers: int, key: int, network: tuple) -> _Crew:
+    """The crew for ``workers``, each worker pinned to its own CPU of the
+    caller's affinity set where the platform can pin; a crew whose set has
+    changed since is replaced.  A new crew's workers start out holding
+    network, the (NetworkSpec, popcount backend) of the caller's key."""
+    cpus = _cpus()
+    with _crews_lock:
+        crew = _crews.get(workers)
+        if crew is not None and crew.cpus == cpus:
+            return crew
+        if crew is not None:
+            crew.stop()
+        # registered before the forks, so each new worker closes the pipes
+        # of those forked before it (see _forget_crews)
+        crew = _crews[workers] = _Crew(cpus)
+        try:
+            for i in range(1, workers):
+                crew.workers.append(_Worker(cpus[i % len(cpus)] if cpus else None, key, network))
+        except BaseException:
+            del _crews[workers]
+            crew.stop(kill=True)
+            raise
+    return crew
+
+
+def _retire(workers: int, crew: _Crew) -> None:
+    with _crews_lock:
+        if _crews.get(workers) is crew:
+            del _crews[workers]
+    crew.stop(kill=True)
+
+
+@atexit.register
+def _stop_crews() -> None:
+    """Reap every tile worker before the interpreter exits, so none outlives
+    its caller or holds the caller's stdout open after it."""
+    with _crews_lock:
+        crews = list(_crews.values())
+        _crews.clear()
+    for crew in crews:
+        crew.stop()
+
+
+def _forget_crews() -> None:
+    # A forked child inherits its parent's ends of the workers' pipes but
+    # not the workers.  It closes them, so that a worker still sees its own
+    # caller exit, and forks its own workers when it needs them.
+    global _crews_lock
+    for crew in _crews.values():
+        for worker in crew.workers:
+            os.close(worker.requests)
+            os.close(worker.replies)
+    _crews.clear()
+    _crews_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_crews)
+
+
+@contextmanager
+def _pinned(cpus: tuple[int, ...] | None):
+    """Pin the calling thread to the first CPU of cpus for the block, then
+    give it back its own CPU set.  The workers hold the others: the
+    scheduler was seen to keep an unpinned caller on a worker's CPU for a
+    whole run, at half speed each, while the other CPU idled."""
+    if not cpus:
+        yield
+        return
+    own = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {cpus[0]})
+    except OSError:  # the CPU left the set since it was read; run unpinned
+        pass
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, own)
+
+
+# A process's first run with workers > 1 runs every tile in the caller, and
+# its second forks the workers.  A fork was measured to slow both processes'
+# next 50-100 ms of work on a 2-vCPU VM, more than one run's parallel share
+# saves, so a process that runs once, such as `binsed infer` on one clip, is
+# done sooner without workers.
+_threaded_runs = itertools.count()
+
+
+def _run_shared(x: FixedTensor, net: NetworkSpec, cache: _Prepared, plan: TilePlan,
+                tiles: list, workers: int) -> list:
+    """A plan's final-layer maps, with the caller running tiles t = 0
+    (mod workers) itself and worker i of the crew tiles t = i."""
+    network = net, cache.popcount
+    crew = _crew(workers, cache.key, network)
+    n = plan.tile_count
+    pieces = [None] * n
+    error = None
+    with crew.lock:
+        try:
+            for i, worker in enumerate(crew.workers, 1):
+                worker.send(cache.key, network, (plan, range(i, n, workers), x))
+            try:
+                with _pinned(crew.cpus):
+                    for t in range(0, n, workers):
+                        pieces[t] = _run_tile(x, tiles[t])
+            except Exception as e:  # every worker's reply is still read
+                error = e
+            for i, worker in enumerate(crew.workers, 1):
+                reply = worker.receive()
+                if isinstance(reply, Exception):
+                    error = error or reply
+                else:
+                    pieces[i::workers] = reply
+        except BaseException:
+            # a dead worker, or a run cut off mid-exchange: no later run may
+            # read these pipes, and the next one forks a new crew
+            _retire(workers, crew)
+            raise
+    if error is not None:
+        raise error
+    return pieces
 
 
 def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
@@ -498,12 +772,16 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
     The first run of a plan on a network checks the plan and prepares each
     tile's layer steps (prepare_layer) as the tile reaches them; the network
     keeps them, and later runs of the plan only run them.  With threads > 1
-    the tiles run in parallel on the persistent pool for that many workers,
-    each tile single-threaded inside; this is the package's only
-    parallelism.  Workers are capped at the CPUs the process may run on, and
-    each pool thread is pinned to its own CPU of that set, where the
-    platform can pin threads.  Tiles are independent and concatenated in
-    plan order, so the result does not depend on scheduling.
+    the tiles run in parallel on W = min(threads, CPUs the process may run
+    on, tiles) workers, each tile single-threaded inside; this is the
+    package's only parallelism.  The caller is one worker and runs tiles
+    t = 0 (mod W) pinned to one CPU; W - 1 persistent worker processes,
+    each pinned to its own CPU, run the rest with steps of their own and
+    send back each tile's final-layer map (see _serve).  They are forked at
+    the process's second such run: its first, and every run where the
+    platform cannot fork, runs every tile in the caller.  Tiles
+    are independent and concatenated in plan order, so the result does not
+    depend on scheduling.
     """
     check_input(x, net)
     cache = _prepared(net)
@@ -513,15 +791,14 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
         tiles = _plan_regions(net, plan)
 
     workers = min(_workers(threads), plan.tile_count)
+    if workers > 1 and (not hasattr(os, "fork") or next(_threaded_runs) == 0):
+        workers = 1
     log.debug("tile plan: %d tiles, %d workers, halo %d",
               plan.tile_count, workers, plan.halo)
     if workers == 1:
         pieces = [_run_tile(x, tile) for tile in tiles]
     else:
-        pool = _tile_pool(workers)
-        futures = [pool.submit(_run_tile, x, tile) for tile in tiles]
-        wait(futures)  # every tile ends before the call does, also when one raises
-        pieces = [f.result() for f in futures]
+        pieces = _run_shared(x, net, cache, plan, tiles, workers)
     if fresh:
         cache.keep(plan, tiles)
 
@@ -532,7 +809,7 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
 
 
 def run_monolithic(x: FixedTensor, net: NetworkSpec, threads: int = 1) -> InferenceResult:
-    """Run the whole network as one time-axis tile per worker thread.
+    """Run the whole network as one time-axis tile per worker.
 
     At one thread this is the one-tile plan, the full feature map in one
     pass; with N workers it is the N-tile plan, bit-identical by the halo

@@ -603,30 +603,47 @@ def save_float_model(fm: FloatModel, path) -> None:
 
 
 def load_float_model(path) -> FloatModel:
+    """Read a save_float_model archive.  Every refusal is an InputFormatError
+    that names the file and, past opening it, the member that failed."""
     try:
-        archive = np.load(path)
-    except (OSError, ValueError) as e:
-        raise InputFormatError(f"not a float model archive: {e}") from e
-    if not isinstance(archive, np.lib.npyio.NpzFile):
-        raise InputFormatError(f"not a float model archive: {path} holds a single "
-                               "array, not an .npz archive")
+        f = open(path, "rb")
+    except OSError as e:
+        raise InputFormatError(f"not a float model archive: {path}: {e}") from e
+    with f:
+        # The zip and .npy readers report damage with whatever their parsers
+        # raise (BadZipFile, NotImplementedError for a zip version, tokenize's
+        # TokenError for a .npy header, ValueError, EOFError, ...).
+        try:
+            archive = np.load(f)
+        except Exception as e:
+            raise InputFormatError(f"not a float model archive: {path}: {e}") from e
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise InputFormatError(f"not a float model archive: {path} holds a single "
+                                   "array, not an .npz archive")
 
-    def grab(key, optional=True):
-        if key in archive:
-            return archive[key]
-        if optional:
-            return None
-        raise InputFormatError(f"float model archive missing {key}")
+        def grab(key, optional=True):
+            if key not in archive:
+                if optional:
+                    return None
+                raise InputFormatError(f"float model archive {path} missing {key}")
+            # members are read lazily, so a damaged one fails here: a bad
+            # CRC, a bad .npy header or data shorter than the header declares
+            try:
+                return archive[key]
+            except Exception as e:
+                raise InputFormatError(
+                    f"not a float model archive: {path}: member {key}: {e}") from e
 
-    try:
-        meta = json.loads(str(grab("meta", optional=False)))
-        layers = tuple(
-            FloatLayer(row["kind"], tuple(row["kernel"]), row["in_channels"],
-                       row["out_channels"], row["stride"],
-                       grab(f"layer{i}_weights", optional=False),
-                       *(grab(f"layer{i}_{name}")
-                         for name in ("bias", "gamma", "beta", "mu", "sigma")))
-            for i, row in enumerate(meta["layers"]))
-        return FloatModel(layers, tuple(meta["input_shape"]), meta["classes"])
-    except (KeyError, TypeError, ValueError) as e:  # meta lacks an entry or is not JSON
-        raise InputFormatError(f"not a float model archive: bad meta entry {e}") from e
+        try:
+            meta = json.loads(str(grab("meta", optional=False)))
+            layers = tuple(
+                FloatLayer(row["kind"], tuple(row["kernel"]), row["in_channels"],
+                           row["out_channels"], row["stride"],
+                           grab(f"layer{i}_weights", optional=False),
+                           *(grab(f"layer{i}_{name}")
+                             for name in ("bias", "gamma", "beta", "mu", "sigma")))
+                for i, row in enumerate(meta["layers"]))
+            return FloatModel(layers, tuple(meta["input_shape"]), meta["classes"])
+        except (KeyError, TypeError, ValueError) as e:  # meta lacks an entry or is not JSON
+            raise InputFormatError(
+                f"not a float model archive: {path}: bad meta entry {e}") from e

@@ -72,6 +72,45 @@ def test_read_wav_rejects_wrong_rate(workdir):
         read_wav(workdir / "slow.wav")
 
 
+def test_read_wav_refusals_name_file_and_part(workdir, tmp_path):
+    good = (workdir / "tone.wav").read_bytes()
+    cases = [(good[:30], "bad header"), (good[:-3], "data chunk holds 127997 bytes")]
+    for data, part in cases:
+        path = tmp_path / "bad.wav"
+        path.write_bytes(data)
+        with pytest.raises(InputFormatError, match=f"^WAV file {re.escape(str(path))}: {part}"):
+            read_wav(path)
+    with pytest.raises(InputFormatError, match="cannot open"):
+        read_wav(tmp_path / "absent.wav")
+
+
+def test_mutated_wav_files_raise_only_input_format_errors(tmp_path):
+    # A damaged header or a short file must fail as an InputFormatError (CLI
+    # exit 2), never as a bare error from the wave module or numpy.
+    write_wav(tmp_path / "small.wav", np.arange(-500, 500))
+    good = (tmp_path / "small.wav").read_bytes()
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(1500):
+        data = bytearray(good)
+        data[int(rng.integers(64))] = int(rng.integers(256))
+        cases.append(bytes(data))
+    cases += [good[:n] for n in range(len(good))]
+    refused = 0
+    for data in cases:
+        try:
+            read_wav(_written(tmp_path, data))
+        except InputFormatError:
+            refused += 1
+    assert refused > len(good)
+
+
+def _written(tmp_path, data: bytes):
+    path = tmp_path / "fuzz.wav"
+    path.write_bytes(data)
+    return path
+
+
 def test_chunk_default_centered():
     clip = np.arange(160000)  # 10 s
     chunks = chunk_audio(clip, 51200, all_chunks=False)
@@ -373,6 +412,21 @@ def test_malformed_float_archive_exits_2(workdir, capsys, name):
                  "--out", str(workdir / "never.bsed")]) == 2
     assert "not a float model archive" in capsys.readouterr().err
     assert not (workdir / "never.bsed").exists()
+
+
+def test_damaged_float_archive_exits_2(workdir, capsys):
+    # a member whose bytes no longer match its CRC is read only when quantize
+    # reaches it; it must still exit 2 and write nothing
+    path = workdir / "damaged.npz"
+    save_float_model(gen_random_float_model(2), path)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x10
+    path.write_bytes(bytes(data))
+    out = workdir / "never.bsed"
+    assert main(["quantize", "--float", str(path), "--out", str(out)]) == 2
+    assert re.search(r"not a float model archive: .*damaged\.npz: member layer\d_\w+: Bad CRC-32",
+                     capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_shape_mismatch_exits_3(workdir, reference_model, capsys):

@@ -1,12 +1,16 @@
 import copy
 import dataclasses
+import itertools
 import json
 import logging
 import os
+import pickle
+import signal
 import subprocess
 import sys
-import threading
 import time
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +30,7 @@ from binsed import (
     run_tiled,
     tile_working_sets,
 )
-from binsed.errors import ShapeMismatchError
+from binsed.errors import ShapeMismatchError, WorkerError
 from binsed.executor import (
     BINARY_CONV,
     FINAL_CONV,
@@ -232,7 +236,8 @@ def test_tiling_theorem_over_random_topologies(case):
 
 
 @pytest.mark.parametrize("tiles, threads", [(1, 1), (2, 2)])
-def test_inference_peak_memory(reference_model, tiles, threads):
+def test_inference_peak_memory(reference_model, tiles, threads, monkeypatch, tmp_path,
+                               fresh_workers):
     # Every layer reads and writes packed bits (the final conv reads its
     # input's words block by block), so a running tile holds at most one
     # layer's block buffers (a fixed conv's whole block within BLOCK_BYTES,
@@ -244,11 +249,13 @@ def test_inference_peak_memory(reference_model, tiles, threads):
     plan = plan_tiles(net, tiles)
     chain = net.shape_chain()
     bound = 256 * 1024
+    tile_bounds = []
     for olo, ohi in plan.out_ranges:
         intervals = _backward_intervals(net, olo, ohi)
         packed = max(chain[l][0] * (hi - lo) * words_per_pixel(chain[l][2]) * 4
                      for l, (lo, hi) in enumerate(intervals[1:-1], 1))
-        bound += BLOCK_BYTES * 11 // 8 + 3 * packed
+        tile_bounds.append(BLOCK_BYTES * 11 // 8 + 3 * packed)
+    bound += sum(tile_bounds)
     if tiles == 1:
         peak = traced_peak(lambda: run_monolithic(x, net, threads=1))
         # One thread peaks within one layer: the block buffers its step
@@ -263,7 +270,32 @@ def test_inference_peak_memory(reference_model, tiles, threads):
         assert peak < max(layer_bounds) + 128 * 1024, \
             f"peak {peak:,} B, layer bounds {layer_bounds}"
     else:
+        # The caller's tracemalloc sees only its own tiles; the worker
+        # process measures each of its tiles itself.
+        record = _recorder(tmp_path / "peaks")
+        run_tile, caller = executor._run_tile, os.getpid()
+
+        def traced_tile(x, tile, *args):
+            if os.getpid() == caller:
+                return run_tile(x, tile, *args)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                out = run_tile(x, tile, *args)
+                record(tile[-1][1].out_lo, tracemalloc.get_traced_memory()[1] - base)
+                return out
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(executor, "_run_tile", traced_tile)
+        monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
         peak = traced_peak(lambda: run_tiled(x, net, plan, threads))
+        worker_peaks = _records(tmp_path / "peaks")
+        assert [out_lo for _, out_lo, _ in worker_peaks] == [plan.out_ranges[1][0]] * 2
+        assert all(pid != caller for pid, _, _ in worker_peaks)
+        for _, _, tile_peak in worker_peaks:
+            assert tile_peak < tile_bounds[1] + 128 * 1024, \
+                f"worker tile peak {tile_peak:,} B, bound {tile_bounds[1] + 128 * 1024:,} B"
     assert peak < bound, f"peak {peak:,} B, bound {bound:,} B"
 
 
@@ -283,35 +315,67 @@ def test_even_kernels_tile_at_any_count():
     assert (run_monolithic(x, net, threads=2).scores == sums).all()
 
 
-def test_tile_workers_keep_bufsize(reference_model, monkeypatch):
-    # Each binary layer scopes a small ufunc buffer to its xors; in every
-    # tile worker the buffer size after the layer must be what it was before.
-    seen = []
+@pytest.fixture
+def fresh_workers(monkeypatch):
+    """Tile workers forked during the test, from its first threaded run on,
+    so they carry its monkeypatches; stopped after it, so that no later
+    test runs on them."""
+    executor._stop_crews()
+    monkeypatch.setattr(executor, "_threaded_runs", itertools.count(1))
+    yield
+    executor._stop_crews()
+
+
+def _recorder(path):
+    """A function that appends its arguments as one JSON line to path,
+    after the pid of whichever process calls it."""
+    def record(*fields):
+        with open(path, "a") as f:
+            f.write(json.dumps([os.getpid(), *fields]) + "\n")
+    return record
+
+
+def _records(path) -> list:
+    return [json.loads(line) for line in path.read_text().splitlines()] \
+        if path.exists() else []
+
+
+def _worker_pids(workers: int) -> list[int]:
+    return [w.pid for w in executor._crews[workers].workers]
+
+
+def test_tile_workers_keep_bufsize(reference_model, monkeypatch, tmp_path, fresh_workers):
+    # Each binary layer scopes a small ufunc buffer to its xors; in the
+    # caller and in the worker process the buffer size after the layer must
+    # be what it was before.
+    record = _recorder(tmp_path / "calls")
     conv = executor.conv2d_binary_threshold
 
     def spy(*args, **kwargs):
         before = np.getbufsize()
         out = conv(*args, **kwargs)
-        seen.append((threading.get_ident(), before, np.getbufsize()))
+        record(before, np.getbufsize())
         return out
 
     monkeypatch.setattr(executor, "conv2d_binary_threshold", spy)
     monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
     net = reference_model.network
     run_tiled(random_mel_input(np.random.default_rng(18)), net, plan_tiles(net, 4), 2)
-    assert len(seen) == 4 * 5
+    seen = _records(tmp_path / "calls")
     assert all(before == after for _, before, after in seen)
-    assert threading.get_ident() not in {ident for ident, _, _ in seen}
+    # tiles 0 and 2 in the caller, 1 and 3 in the one worker, 5 binary layers each
+    (worker,) = _worker_pids(2)
+    assert Counter(pid for pid, _, _ in seen) == {os.getpid(): 10, worker: 10}
 
 
-def test_tile_workers_reuse_one_pool(reference_model, monkeypatch):
-    # Tiles run on one persistent pool per worker count: two threaded runs
-    # share its two worker threads.
-    workers = []
+def test_tile_workers_reuse_one_pool(reference_model, monkeypatch, tmp_path, fresh_workers):
+    # Tiles run on one persistent set of worker processes per worker count:
+    # two runs at two workers share its one worker process.
+    record = _recorder(tmp_path / "calls")
     conv = executor.conv2d_binary_threshold
 
     def spy(*args, **kwargs):
-        workers.append(threading.current_thread())
+        record()
         return conv(*args, **kwargs)
 
     monkeypatch.setattr(executor, "conv2d_binary_threshold", spy)
@@ -320,26 +384,103 @@ def test_tile_workers_reuse_one_pool(reference_model, monkeypatch):
     x = random_mel_input(np.random.default_rng(19))
     plan = plan_tiles(net, 4)
     run_tiled(x, net, plan, 2)
+    (first,) = _worker_pids(2)
     run_tiled(x, net, plan, 2)
-    assert len(workers) == 2 * 4 * 5
-    assert len(set(workers)) <= 2 and len({t.ident for t in workers}) <= 2
-    assert threading.current_thread() not in workers
+    assert _worker_pids(2) == [first]
+    pids = Counter(pid for pid, in _records(tmp_path / "calls"))
+    assert pids == {os.getpid(): 2 * 2 * 5, first: 2 * 2 * 5}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity set")
+def test_caller_and_worker_pinned(reference_model, monkeypatch, tmp_path, fresh_workers):
+    # The caller runs its tiles on the first CPU of its set and gets its own
+    # set back after; the worker stays on the next one.
+    record = _recorder(tmp_path / "calls")
+    run_tile = executor._run_tile
+
+    def spy(x, tile, *args):
+        record(sorted(os.sched_getaffinity(0)))
+        return run_tile(x, tile, *args)
+
+    monkeypatch.setattr(executor, "_run_tile", spy)
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    net = reference_model.network
+    own = sorted(os.sched_getaffinity(0))
+    run_tiled(random_mel_input(np.random.default_rng(30)), net, plan_tiles(net, 4), 2)
+    assert sorted(os.sched_getaffinity(0)) == own
+    (worker,) = _worker_pids(2)
+    assert sorted(map(tuple, _records(tmp_path / "calls"))) == \
+        [(os.getpid(), [own[0]])] * 2 + [(worker, [own[1 % len(own)]])] * 2
+
+
+def test_pickled_network_leaves_out_steps(reference_model):
+    # a worker learns a network without the caller's prepared steps
+    net = dataclasses.replace(reference_model.network)
+    x = random_mel_input(np.random.default_rng(31))
+    want = run_monolithic(x, net).scores
+    assert "_prepared" in vars(net)
+    for clone in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+        assert "_prepared" not in vars(clone)
+        assert (run_monolithic(x, clone).scores == want).all()
+
+
+@pytest.mark.skipif(not hasattr(np, "bitwise_count"), reason="one popcount backend only")
+def test_workers_use_the_callers_popcount(reference_model, monkeypatch, tmp_path,
+                                          fresh_workers):
+    # A worker forked under one popcount backend runs the caller's current one.
+    record = _recorder(tmp_path / "calls")
+    conv = executor.conv2d_binary_threshold
+
+    def spy(x, w, fold, stride, region, popcount=None, **kwargs):
+        record(kernels.resolve_popcount_name(popcount))
+        return conv(x, w, fold, stride, region, popcount, **kwargs)
+
+    monkeypatch.setattr(executor, "conv2d_binary_threshold", spy)
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(29))
+    plan = plan_tiles(net, 2)
+    want = run_tiled(x, net, plan, 2).scores  # forks the worker under the native backend
+    (tmp_path / "calls").unlink()
+    monkeypatch.setattr(kernels, "_HAS_NATIVE", False)  # in the caller only
+    assert (run_tiled(x, net, plan, 2).scores == want).all()
+    seen = _records(tmp_path / "calls")
+    assert {pid for pid, _ in seen} == {os.getpid(), *_worker_pids(2)}
+    assert {backend for _, backend in seen} == {"portable"}
+
+
+def test_first_threaded_run_forks_nothing(reference_model, monkeypatch):
+    # a process that makes one threaded run does not pay for a fork
+    executor._stop_crews()
+    monkeypatch.setattr(executor, "_threaded_runs", itertools.count())
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(28))
+    want = run_tiled(x, net, plan_tiles(net, 4), 1).scores
+    assert (run_monolithic(x, net, 2).scores == want).all()
+    assert executor._crews == {}
+    assert (run_tiled(x, net, plan_tiles(net, 4), 2).scores == want).all()
+    assert len(_worker_pids(2)) == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-def test_forked_child_runs_threaded(reference_model, monkeypatch):
-    # A child forked after a threaded run inherits the pool objects but none
-    # of their threads; it must build its own pool rather than wait forever.
+def test_forked_child_runs_threaded(reference_model, monkeypatch, fresh_workers):
+    # A child forked after a threaded run inherits its parent's ends of the
+    # worker pipes but not the workers; it must fork its own rather than
+    # talk to its parent's or wait forever.
     monkeypatch.setattr(executor, "_workers", lambda threads: threads)
     net = reference_model.network
     x = random_mel_input(np.random.default_rng(20))
     plan = plan_tiles(net, 4)
     want = run_tiled(x, net, plan, 2).scores
+    parents = _worker_pids(2)
     pid = os.fork()
     if pid == 0:  # the child: never return into the test runner
         code = 1
         try:
-            code = 0 if (run_tiled(x, net, plan, 2).scores == want).all() else 1
+            same = (run_tiled(x, net, plan, 2).scores == want).all()
+            mine = _worker_pids(2)
+            code = 0 if same and not set(mine) & set(parents) else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -353,10 +494,13 @@ def test_forked_child_runs_threaded(reference_model, monkeypatch):
             pytest.fail("forked child did not finish its threaded run in 60 s")
         time.sleep(0.05)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert _worker_pids(2) == parents
+    assert (run_tiled(x, net, plan, 2).scores == want).all()
 
 
 def test_process_exits_after_threaded_run():
-    # The persistent pool's idle threads must not hold the interpreter open.
+    # The worker processes must neither hold the interpreter open nor
+    # outlive it, nor keep its captured stdout open after it exits.
     script = (
         "import time\n"
         "import numpy as np\n"
@@ -367,8 +511,10 @@ def test_process_exits_after_threaded_run():
         "('binary_conv', 3, 3, 16, 1), ('final_conv', 1, 1, 4, 1)), "
         "input_shape=(3, 20, 1), classes=4)).network\n"
         "x = FixedTensor(3, 20, 1, np.ones((3, 20, 1), dtype=np.int32), net.input_qformat, 16)\n"
-        "run_tiled(x, net, plan_tiles(net, 4), 2)\n"
-        "print(time.time(), flush=True)\n"
+        "for threads in (2, 2, 3):  # the first runs every tile in the caller\n"
+        "    run_tiled(x, net, plan_tiles(net, 4), threads)\n"
+        "pids = [w.pid for crew in executor._crews.values() for w in crew.workers]\n"
+        "print(*pids, time.time(), flush=True)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
@@ -377,7 +523,92 @@ def test_process_exits_after_threaded_run():
                           capture_output=True, text=True, timeout=120)
     ended = time.time()
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert ended - float(proc.stdout.split()[-1]) < 10
+    *pids, printed = proc.stdout.split()
+    assert ended - float(printed) < 10
+    assert len(pids) == 1 + 2
+    for pid in map(int, pids):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _within(seconds: float, fn):
+    """fn(), or TimeoutError if it has not returned after seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="cannot wait for a worker's death")
+def test_killed_worker_is_replaced(reference_model, monkeypatch, fresh_workers):
+    # A run that meets a dead worker raises, never hangs, and the next run
+    # forks a new one; the dead one is reaped.
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(25))
+    plan = plan_tiles(net, 4)
+    want = run_tiled(x, net, plan, 1).scores
+    run_tiled(x, net, plan, 2)
+    (dead,) = _worker_pids(2)
+    os.kill(dead, signal.SIGKILL)
+    os.waitid(os.P_PID, dead, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    with pytest.raises(WorkerError, match=f"tile worker {dead} is gone"):
+        _within(30, lambda: run_tiled(x, net, plan, 2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(dead, os.WNOHANG)
+    assert (_within(30, lambda: run_tiled(x, net, plan, 2)).scores == want).all()
+    assert _worker_pids(2) != [dead]
+
+
+def test_worker_errors_reach_the_caller(reference_model, monkeypatch, fresh_workers):
+    # A tile that raises in the worker raises its type and message in the
+    # caller, after the run's other tiles end; the worker keeps serving.
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    caller, run_tile = os.getpid(), executor._run_tile
+    failure = [ShapeMismatchError("refused in the worker")]
+
+    def failing(x, tile, *args):
+        if os.getpid() != caller and failure:
+            raise failure[0]
+        return run_tile(x, tile, *args)
+
+    monkeypatch.setattr(executor, "_run_tile", failing)
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(26))
+    plan = plan_tiles(net, 4)
+    with pytest.raises(ShapeMismatchError, match="^refused in the worker$"):
+        run_tiled(x, net, plan, 2)
+    (worker,) = _worker_pids(2)
+    with pytest.raises(ShapeMismatchError, match="^refused in the worker$"):
+        run_tiled(x, net, plan, 2)
+    assert _worker_pids(2) == [worker]
+    # a worker knows the failure it was forked with, so each change gets a new one
+    failure[0] = Unpicklable("nor its message")
+    executor._stop_crews()
+    with pytest.raises(RuntimeError, match="^Unpicklable: nor its message$"):
+        run_tiled(x, net, plan, 2)
+    failure.clear()
+    executor._stop_crews()
+    assert (run_tiled(x, net, plan, 2).scores == run_tiled(x, net, plan, 1).scores).all()
+
+
+def test_tiles_run_in_caller_without_fork(reference_model, monkeypatch, caplog):
+    monkeypatch.delattr(os, "fork")
+    caplog.set_level(logging.DEBUG, logger="binsed.executor")
+    net = reference_model.network
+    x = random_mel_input(np.random.default_rng(27))
+    plan = plan_tiles(net, 4)
+    assert (run_tiled(x, net, plan, 2).scores == run_tiled(x, net, plan, 1).scores).all()
+    plans = [r.getMessage() for r in caplog.records if "tile plan" in r.getMessage()]
+    assert plans == ["tile plan: 4 tiles, 1 workers, halo 20"] * 2
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity set")
@@ -394,30 +625,55 @@ def test_workers_capped_at_affinity(reference_model, monkeypatch, caplog):
     assert (res.scores == run_tiled(x, net, plan_tiles(net, 2)).scores).all()
 
 
-def _count_prepares(monkeypatch) -> list:
-    calls = []
+def _count_prepares(monkeypatch, path):
+    """Record each prepare function call, in the caller or a worker, to path."""
+    record = _recorder(path)
     for module in (executor, kernels):
         for name in ("prepare_fixed_conv", "prepare_binary_conv"):
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                calls.append(_name)
+                record(_name)
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-    return calls
 
 
-def test_repeat_runs_prepare_nothing(reference_model, monkeypatch):
+def test_repeat_runs_prepare_nothing(reference_model, monkeypatch, tmp_path, fresh_workers):
     net = dataclasses.replace(reference_model.network)  # the same layers, no steps yet
     x = random_mel_input(np.random.default_rng(22))
     plan = plan_tiles(net, 4)
-    calls = _count_prepares(monkeypatch)
+    _count_prepares(monkeypatch, tmp_path / "calls")
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
     runs = (lambda: run_tiled(x, net, plan, 2), lambda: run_tiled(x, net, plan, 1),
             lambda: run_monolithic(x, net, 2), lambda: run_monolithic(x, net, 1))
     first = [run().scores for run in runs]
-    assert calls
-    calls.clear()
+    # the caller and the worker each prepared their own tiles' steps
+    assert {pid for pid, _ in _records(tmp_path / "calls")} == {os.getpid(), *_worker_pids(2)}
+    (tmp_path / "calls").unlink()
     again = [run().scores for run in runs]
-    assert calls == []
+    assert _records(tmp_path / "calls") == []
     assert all((a == b).all() for a, b in zip(first, again))
+
+
+def test_workers_keep_steps_for_plans_kept(monkeypatch, tmp_path, fresh_workers):
+    # A worker keeps its steps for its last PLANS_KEPT plans, like the caller.
+    table = ((FIXED_CONV, 3, 3, 16, 1), (BINARY_CONV, 3, 3, 16, 1), (FINAL_CONV, 1, 1, 4, 1))
+    net = quantize_model(gen_random_float_model(
+        1, table=table, input_shape=(3, 20, 1), classes=4)).network
+    x = FixedTensor(3, 20, 1, np.ones((3, 20, 1), dtype=np.int32), net.input_qformat, 16)
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    counts = tmp_path / "calls"
+    _count_prepares(monkeypatch, counts)
+    plans = [plan_tiles(net, tiles) for tiles in range(2, executor.PLANS_KEPT + 3)]
+    for plan in plans:
+        run_tiled(x, net, plan, 2)
+    (worker,) = _worker_pids(2)
+
+    def worker_prepares(plan) -> int:
+        counts.unlink(missing_ok=True)
+        run_tiled(x, net, plan, 2)
+        return sum(pid == worker for pid, _ in _records(counts))
+
+    assert worker_prepares(plans[-1]) == 0
+    assert worker_prepares(plans[0]) > 0  # the oldest plan's steps were dropped
 
 
 def test_steps_kept_once_per_plan(reference_model):

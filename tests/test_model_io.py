@@ -390,6 +390,30 @@ def test_mutated_feature_files_raise_only_model_format_errors(frontend_cfg):
     assert refused > 0
 
 
+def test_flipped_float_archives_raise_only_input_format_errors(tmp_path):
+    # A float archive's members are read lazily, past np.load; a flipped bit
+    # anywhere must fail as an InputFormatError (CLI exit 2), never as a bare
+    # BadZipFile or a .npy header parse error.
+    table = (("fixed_conv", 3, 3, 16, 1), ("binary_conv", 3, 3, 16, 1),
+             ("final_conv", 1, 1, 4, 1))
+    path = tmp_path / "fm.npz"
+    save_float_model(gen_random_float_model(3, table=table, input_shape=(3, 20, 1),
+                                            classes=4), path)
+    good = path.read_bytes()
+    rng = np.random.default_rng(9)
+    refused = 0
+    for _ in range(200):
+        data = bytearray(good)
+        for _ in range(int(rng.integers(1, 5))):
+            data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+        path.write_bytes(bytes(data))
+        try:
+            load_float_model(path)
+        except InputFormatError:
+            refused += 1
+    assert refused > 150
+
+
 # ---------------------------------------------------------------------------
 # random model generation
 # ---------------------------------------------------------------------------
