@@ -2,8 +2,8 @@
 
 Numbers are machine-specific; the stable findings are the orderings: binary
 layers deliver the highest MAC/s, the packed kernel beats the unpacked oracle
-by orders of magnitude, and the native popcount instruction beats the lookup
-table fallback.
+by orders of magnitude, and the native popcount instruction beats the
+shift-and-mask fallback.
 """
 
 from binsed import bench, gen_random_model, run_monolithic, run_tiled, plan_tiles

@@ -1,12 +1,12 @@
 """Network descriptors and end-to-end execution.  There is one executor:
 tiles along the time axis, each extended by a derived halo so every plan is
 bit-exact, with parallel workers running over tiles only.  Monolithic
-execution is the plan with one tile per worker.  Each (network, tile plan)
-prepares its layer steps once, on its first run, and every later run reuses
-them (see _Prepared); the caller shares a plan's tiles with persistent
-forked worker processes, one set per worker count (see _Worker).  Also MAC
-accounting and memory footprint reporting; the timing report lives in
-timing.py.
+execution is the plan with one tile per worker.  A network keeps one table
+per layer, and each tile plan's steps on them, prepared on its first run
+(see _Prepared); the caller shares a plan's tiles with persistent forked
+worker processes, one set per worker count, which run them through the same
+cache (see _Worker).  Also MAC accounting and memory footprint reporting;
+the timing report lives in timing.py.
 """
 
 from __future__ import annotations
@@ -29,9 +29,11 @@ from .kernels import (
     BnFold,
     ColRegion,
     FixedConvParams,
+    binary_conv_table,
     conv2d_binary_threshold,
     conv2d_fixed,
     conv2d_fixed_sign,
+    fixed_conv_table,
     global_avg_pool,
     predict,
     prepare_binary_conv,
@@ -221,12 +223,11 @@ class InferenceResult:
         return self.scores * 2.0 ** (-self.score_qformat) / self.divisor
 
 
-def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None,
-              popcount: str | None = None):
+def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None):
     """One layer as inference runs it, over the columns region names (the
     whole map when None).  ``step`` is the layer's prepare_layer step for
-    this input shape, region and popcount backend (None: the platform's), or
-    None to build it in the call."""
+    this input shape and region, or None to build it, on a table with the
+    platform's popcount backend, in the call."""
     # A binarizing layer's only output is bits, so its threshold runs fused
     # into the conv's own accumulation blocks.
     if layer.kind == FIXED_CONV:
@@ -234,22 +235,31 @@ def run_layer(layer: LayerSpec, x, region: ColRegion | None, step=None,
                                  prepared=step)
     if layer.kind == BINARY_CONV:
         return conv2d_binary_threshold(x, layer.weights, layer.fold, layer.stride, region,
-                                       popcount, prepared=step)
+                                       None if step is None else step.table.popcount,
+                                       prepared=step)
     # final layer: reads the +-1 activations from their words, at qformat 0
     return conv2d_fixed(x, layer.fixed, layer.stride, region, prepared=step)
 
 
-def prepare_layer(layer: LayerSpec, x, region: ColRegion | None,
-                  popcount: str | None = None):
-    """The step run_layer reuses for inputs shaped like x over region: the
-    layer's checks and tables, none of which depend on x's values."""
-    if layer.kind == FIXED_CONV:
-        return prepare_fixed_conv(x.shape, x.qformat, layer.fixed, layer.stride, region,
-                                  layer.fold)
+def layer_table(layer: LayerSpec, popcount: str | None = None):
+    """The table all of the layer's steps share, for the popcount backend
+    given (None: the platform's)."""
     if layer.kind == BINARY_CONV:
-        return prepare_binary_conv(x.shape, layer.weights, layer.stride, region,
-                                   popcount, layer.fold)
-    return prepare_fixed_conv(x.shape, 0, layer.fixed, layer.stride, region, bits=True)
+        return binary_conv_table(layer.weights, layer.fold, popcount)
+    if layer.kind == FIXED_CONV:
+        return fixed_conv_table(layer.fixed, layer.fold)
+    return fixed_conv_table(layer.fixed, bits=True)
+
+
+def prepare_layer(layer: LayerSpec, x, region: ColRegion | None, table=None):
+    """The step run_layer reuses for inputs shaped like x over region: the
+    layer's checks and the tables of that region, none of which depend on
+    x's values, on table (None: a new layer_table)."""
+    table = layer_table(layer) if table is None else table
+    if layer.kind == BINARY_CONV:
+        return prepare_binary_conv(x.shape, table, layer.stride, region)
+    qformat = x.qformat if layer.kind == FIXED_CONV else 0
+    return prepare_fixed_conv(x.shape, qformat, table, layer.stride, region)
 
 
 def check_input(x: FixedTensor, net: NetworkSpec) -> None:
@@ -360,8 +370,8 @@ def _backward_intervals(net: NetworkSpec, out_lo: int, out_hi: int) -> list[tupl
     return intervals
 
 
-# Tile plans whose steps a network (and each tile worker) keeps; the oldest
-# is dropped first.
+# Tile plans whose steps a network keeps, and networks a tile worker holds;
+# the oldest is dropped first.
 PLANS_KEPT = 8
 
 _keys = itertools.count()  # one per _Prepared, never reused within a process
@@ -372,48 +382,57 @@ def _layer_params(layer: LayerSpec) -> tuple:
 
 
 class _Prepared:
-    """A network's prepared layer steps, kept on the network object itself.
+    """A network's layer tables and steps, kept on the network object itself.
 
-    ``tiles`` maps each tile plan run so far (at most PLANS_KEPT) to its
-    tiles, each a list of [layer, region, step] per layer, and ``plans``
-    maps each worker count to run_monolithic's plan.  The steps hold the
-    layers and parameter objects they were built from, and _prepared uses
-    them only while the network's layers, their parameter objects (by
-    identity), its input contract and the popcount backend are still those;
-    otherwise it puts a new, empty cache on the network.  A shallow copy of
-    a network shares its cache only until either is given other layers.
-    ``key`` names this cache to the tile workers, which learn the network
-    once per key; a stale cache's successor has a new key, so these checks
-    alone decide when the workers' steps are stale too.
+    ``tables`` holds one layer_table per layer, and every step of every tile
+    and plan is prepared on its layer's table.  ``tiles`` maps each tile
+    plan run so far (at most PLANS_KEPT) to its tiles, each a list of
+    [layer, region, step] per layer, and ``plans`` maps each worker count
+    to run_monolithic's plan.  The tables hold the parameter objects they
+    were built from, and _prepared uses them only while the network's
+    layers, their parameter objects (by identity), its input contract and
+    the popcount backend are still those; otherwise it puts a new cache on
+    the network.  A shallow copy of a network shares its cache only until
+    either is given other layers.  ``key`` names this cache to the tile
+    workers, which learn the network once per key; a stale cache's
+    successor has a new key, so these checks alone decide when the workers'
+    steps are stale too.
     """
 
-    __slots__ = ("key", "layers", "params", "contract", "popcount", "plans", "tiles")
+    __slots__ = ("key", "layers", "params", "contract", "popcount", "tables", "plans", "tiles")
 
-    def __init__(self, net: NetworkSpec):
+    def __init__(self, net: NetworkSpec, popcount: str):
         self.key = next(_keys)
         self.layers = net.layers
         self.params = [_layer_params(layer) for layer in net.layers]
         self.contract = net.input_shape, net.input_qformat
-        self.popcount = resolve_popcount_name()
+        self.popcount = popcount
+        self.tables = [layer_table(layer, popcount) for layer in net.layers]
         self.plans: dict[int, TilePlan] = {}
         self.tiles: dict[TilePlan, list] = {}
 
-    def current(self, net: NetworkSpec) -> bool:
-        return (net.layers is self.layers and self.popcount == resolve_popcount_name()
+    def current(self, net: NetworkSpec, popcount: str) -> bool:
+        return (net.layers is self.layers and self.popcount == popcount
                 and (net.input_shape, net.input_qformat) == self.contract
                 and all(a is b for layer, held in zip(net.layers, self.params)
                         for a, b in zip(_layer_params(layer), held)))
 
+    def layout(self, net: NetworkSpec, plan: TilePlan) -> list:
+        """plan's kept tiles, or a new layout of them to keep() after the run."""
+        return self.tiles.get(plan) or _plan_regions(net, plan)
+
     def keep(self, plan: TilePlan, tiles: list) -> None:
-        if len(self.tiles) >= PLANS_KEPT:
-            self.tiles.pop(next(iter(self.tiles)), None)
+        if plan not in self.tiles and len(self.tiles) >= PLANS_KEPT:
+            self.tiles.pop(next(iter(self.tiles)))
         self.tiles[plan] = tiles
 
 
-def _prepared(net: NetworkSpec) -> _Prepared:
+def _prepared(net: NetworkSpec, popcount: str | None = None) -> _Prepared:
+    """net's cache for the popcount backend given (None: the platform's)."""
+    popcount = resolve_popcount_name(popcount)
     cache = vars(net).get("_prepared")
-    if cache is None or not cache.current(net):
-        cache = _Prepared(net)
+    if cache is None or not cache.current(net, popcount):
+        cache = _Prepared(net, popcount)
         object.__setattr__(net, "_prepared", cache)
     return cache
 
@@ -447,19 +466,19 @@ def _plan_regions(net: NetworkSpec, plan: TilePlan) -> list:
     return tiles
 
 
-def _run_tile(x: FixedTensor, tile: list, popcount: str | None = None) -> np.ndarray:
+def _run_tile(x: FixedTensor, tile: list, tables: list) -> np.ndarray:
     """Run one tile's layers.  A layer whose step is still None has it
-    prepared from its input first, and kept in its entry."""
+    prepared from its input on its table in tables, and kept in its entry."""
     cur = x
     for i, entry in enumerate(tile):
         layer, region, step = entry
         if step is None:
-            step = entry[2] = prepare_layer(layer, cur, region, popcount)
+            step = entry[2] = prepare_layer(layer, cur, region, tables[i])
             log.debug("L%d step: columns [%d, %d), %d rows per block, %d blocks, "
                       "%d 64-bit words per position, %d B of block buffers",
                       i, region.out_lo, region.out_hi, step.rows, len(step.blocks),
                       step.words_per_position, step.buffer_bytes)
-        cur = run_layer(layer, cur, region, step, popcount)
+        cur = run_layer(layer, cur, region, step)
     return cur.values
 
 
@@ -501,34 +520,30 @@ def _serve(requests: int, replies: int, nets: dict[int, tuple]) -> None:
     caller's _Prepared key, and network, a (NetworkSpec, popcount backend)
     pair, is None when the caller has sent this key before.  The reply is
     the tiles' final-layer maps in order, the exception a tile raised, or
-    None when the worker no longer holds the network, which the caller
-    then sends again.  nets maps keys to the networks the worker holds, at
-    first the one it was forked with.  The worker keeps its steps for its
-    last PLANS_KEPT (key, plan) pairs and each network while one of them
-    uses it.
+    None when the worker no longer holds the network, which the caller then
+    sends again.  nets maps keys to the at most PLANS_KEPT networks the
+    worker holds, least recently used first, at first the one it was forked
+    with.  Each runs through its own _Prepared, as in run_tiled, so the
+    network a worker is forked with comes with the caller's tables and steps.
     """
-    kept: dict[tuple, list] = {}  # (key, plan) -> tiles, oldest first
     while True:
         try:
             key, network, plan, picks, x = _read(requests)
         except EOFError:
             return
         try:
-            if network is not None:
-                nets[key] = network
-            if key not in nets:
+            network = nets.pop(key, None) if network is None else network
+            if network is None:
                 reply = None
             else:
-                net, popcount = nets[key]
-                tiles = kept.get((key, plan))
-                if tiles is None:
-                    tiles = kept[key, plan] = _plan_regions(net, plan)
-                    if len(kept) > PLANS_KEPT:
-                        oldest = next(iter(kept))
-                        del kept[oldest]
-                        if all(k != oldest[0] for k, _ in kept):
-                            del nets[oldest[0]]
-                reply = [_run_tile(x, tiles[t], popcount) for t in picks]
+                nets[key] = network
+                if len(nets) > PLANS_KEPT:
+                    del nets[next(iter(nets))]
+                net, popcount = network
+                cache = _prepared(net, popcount)
+                tiles = cache.layout(net, plan)
+                reply = [_run_tile(x, tiles[t], cache.tables) for t in picks]
+                cache.keep(plan, tiles)
         except Exception as e:
             reply = e
         try:
@@ -746,7 +761,7 @@ def _run_shared(x: FixedTensor, net: NetworkSpec, cache: _Prepared, plan: TilePl
             try:
                 with _pinned(crew.cpus):
                     for t in range(0, n, workers):
-                        pieces[t] = _run_tile(x, tiles[t])
+                        pieces[t] = _run_tile(x, tiles[t], cache.tables)
             except Exception as e:  # every worker's reply is still read
                 error = e
             for i, worker in enumerate(crew.workers, 1):
@@ -769,26 +784,24 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
               threads: int = 1) -> InferenceResult:
     """Run the network tile by tile; bit-exact for every plan.
 
-    The first run of a plan on a network checks the plan and prepares each
-    tile's layer steps (prepare_layer) as the tile reaches them; the network
-    keeps them, and later runs of the plan only run them.  With threads > 1
-    the tiles run in parallel on W = min(threads, CPUs the process may run
-    on, tiles) workers, each tile single-threaded inside; this is the
-    package's only parallelism.  The caller is one worker and runs tiles
-    t = 0 (mod W) pinned to one CPU; W - 1 persistent worker processes,
-    each pinned to its own CPU, run the rest with steps of their own and
-    send back each tile's final-layer map (see _serve).  They are forked at
-    the process's second such run: its first, and every run where the
-    platform cannot fork, runs every tile in the caller.  Tiles
-    are independent and concatenated in plan order, so the result does not
-    depend on scheduling.
+    The first run of a network builds its layer tables (layer_table); the
+    first run of a plan checks the plan and prepares each tile's layer
+    steps on them (prepare_layer) as the tile reaches them; the network
+    keeps both, and later runs only run the steps.  With threads > 1 the
+    tiles run in parallel on W = min(threads, CPUs the process may run on,
+    tiles) workers, each tile single-threaded inside; this is the package's
+    only parallelism.  The caller is one worker and runs tiles t = 0
+    (mod W) pinned to one CPU; W - 1 persistent worker processes, each
+    pinned to its own CPU, run the rest through the network's cache on
+    their side and send back each tile's final-layer map (see _serve).
+    They are forked at the process's second such run, with the caller's
+    tables and steps: its first, and every run where the platform cannot
+    fork, runs every tile in the caller.  Tiles are independent and
+    concatenated in plan order, so the result does not depend on scheduling.
     """
     check_input(x, net)
     cache = _prepared(net)
-    tiles = cache.tiles.get(plan)
-    fresh = tiles is None
-    if fresh:
-        tiles = _plan_regions(net, plan)
+    tiles = cache.layout(net, plan)
 
     workers = min(_workers(threads), plan.tile_count)
     if workers > 1 and (not hasattr(os, "fork") or next(_threaded_runs) == 0):
@@ -796,11 +809,10 @@ def run_tiled(x: FixedTensor, net: NetworkSpec, plan: TilePlan,
     log.debug("tile plan: %d tiles, %d workers, halo %d",
               plan.tile_count, workers, plan.halo)
     if workers == 1:
-        pieces = [_run_tile(x, tile) for tile in tiles]
+        pieces = [_run_tile(x, tile, cache.tables) for tile in tiles]
     else:
         pieces = _run_shared(x, net, cache, plan, tiles, workers)
-    if fresh:
-        cache.keep(plan, tiles)
+    cache.keep(plan, tiles)
 
     pooled = global_avg_pool(np.concatenate(pieces, axis=1))
     p = net.layers[-1].fixed  # the final conv's input is at qformat 0

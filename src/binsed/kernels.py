@@ -14,15 +14,16 @@ compute an exact slice of the monolithic output from an input slab: window
 positions, padding, and border classes are always resolved in monolithic
 coordinates.
 
-Each convolution splits into a prepare step and a run step.  Preparing
-(prepare_fixed_conv, prepare_binary_conv) checks the parameters and builds
-every table that depends only on the layer, the input shape and the column
-region; running builds the slab, makes the checks that depend on the
-input's values and runs the block loop.  Each public conv2d_* call is one
-prepare and one run.  The three the executor calls (conv2d_fixed,
-conv2d_fixed_sign, conv2d_binary_threshold) also take ``prepared=``, a step
-built for the same arguments, and then only run it: the executor keeps each
-tile's steps and runs them on every later call.
+Each convolution splits into a table, a prepare step and a run step.  The
+table (fixed_conv_table, binary_conv_table) holds what depends only on the
+layer's parameter objects and popcount backend; preparing (prepare_fixed_conv,
+prepare_binary_conv) checks the input shape and builds, on the table, what
+depends on that shape and the column region; running builds the slab, makes
+the checks that depend on the input's values and runs the block loop.  Each
+public conv2d_* call builds all three.  The three the executor calls
+(conv2d_fixed, conv2d_fixed_sign, conv2d_binary_threshold) also take
+``prepared=``, a step built for the same arguments, and then only run it:
+the executor keeps one table per layer and each tile's steps on it.
 """
 
 from __future__ import annotations
@@ -53,20 +54,6 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 _HAS_NATIVE = hasattr(np, "bitwise_count")
-_LUT16 = None
-
-
-def _lut16() -> np.ndarray:
-    # 16-bit table built by shift-and-add so the portable path never depends
-    # on the native instruction it is the fallback for.
-    global _LUT16
-    if _LUT16 is None:
-        v = np.arange(1 << 16, dtype=np.uint32)
-        counts = np.zeros(1 << 16, dtype=np.uint8)
-        for b in range(16):
-            counts += ((v >> b) & 1).astype(np.uint8)
-        _LUT16 = counts
-    return _LUT16
 
 
 def popcount_native(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -74,23 +61,46 @@ def popcount_native(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.bitwise_count(a, out=out)
 
 
+_CHUNK = 4096  # words popcount_portable counts per pass, which bounds its temporaries
+
+
 def popcount_portable(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-word population count via a 16-bit lookup table (32/64-bit words),
-    as uint8."""
-    lut = _lut16()
-    mask = a.dtype.type(0xFFFF)
-    counts = lut[a & mask] + lut[(a >> a.dtype.type(16)) & mask]
-    if a.dtype.itemsize == 8:
-        counts += lut[(a >> np.uint64(32)) & mask] + lut[a >> np.uint64(48)]
-    if out is None:
-        return counts
-    out[...] = counts
+    """Per-word population count of 32/64-bit words by shifts and masks
+    (bit-sliced adds, then one multiply that sums the byte counts), as
+    uint8.  It counts _CHUNK words at a time in two reused buffers, so its
+    temporaries stay near 64 kB whatever a holds."""
+    if out is not None and not out.flags.c_contiguous:
+        out[...] = popcount_portable(a)
+        return out
+    t, bits = a.dtype.type, 8 * a.dtype.itemsize
+    m1, m2, m4, h01 = (t(v & ((1 << bits) - 1)) for v in
+                       (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                        0x0101010101010101))
+    words = np.ascontiguousarray(a).reshape(-1)
+    out = np.empty(a.shape, np.uint8) if out is None else out
+    x_buf, y_buf = np.empty(_CHUNK, a.dtype), np.empty(_CHUNK, a.dtype)
+    for i in range(0, words.size, _CHUNK):
+        w = words[i:i + _CHUNK]
+        x, y = x_buf[:w.size], y_buf[:w.size]
+        np.right_shift(w, t(1), out=y)
+        y &= m1
+        np.subtract(w, y, out=x)  # 2-bit counts
+        np.right_shift(x, t(2), out=y)
+        y &= m2
+        x &= m2
+        x += y  # 4-bit counts
+        np.right_shift(x, t(4), out=y)
+        x += y
+        x &= m4  # byte counts
+        x *= h01  # their sum in the top byte
+        x >>= t(bits - 8)
+        out.reshape(-1)[i:i + w.size] = x
     return out
 
 
 def resolve_popcount_name(kind: str | None = None) -> str:
     """Resolve None to the platform backend: the native instruction where
-    numpy has one, else the lookup table."""
+    numpy has one, else shifts and masks."""
     if kind is None:
         kind = "native" if _HAS_NATIVE else "portable"
     return kind
@@ -377,90 +387,42 @@ def _acc_limits(p: FixedConvParams, levels) -> np.ndarray:
                      for t, b in zip(levels.tolist(), p.bias.tolist())], dtype=np.float64)
 
 
-class FixedConvStep(NamedTuple):
-    """A fixed conv prepared for one layer, input kind and shape, and column
-    region.
-
-    Holds what the parameter checks found and every table that does not
-    depend on the input's values: the geometry, the float64 filter matrix,
-    the block row ranges, the worst-case accumulator factors, both
-    output-range limits and the epilogue's constants (offset for
-    conv2d_fixed; limits for conv2d_fixed_sign, whose fold is set).  A fold
-    negates the weight column and mirrors the limits of each channel it
+class FixedConvTable(NamedTuple):
+    """A fixed conv layer's tables, shared by all of its steps: what the
+    parameter checks found, the float64 filter matrix, the worst-case
+    accumulator factors, both output-range limits and the epilogue's
+    constants (offset for conv2d_fixed; limits for conv2d_fixed_sign, whose
+    fold is set), built once from its parameters, fold and input kind.  A
+    fold negates the weight column and mirrors the limits of each channel it
     flips (not v >= a is -v >= 1 - a, exact on integer sums), so the sign
     epilogue is one compare, with no flip at run time.  Over bits (``bits``,
     a BinaryTensor input) the matrix is 2*W, applied to the bits as 0/1, and
-    ``wsum`` holds each border rectangle's in-image weight sum, which the
-    loop subtracts to make the sums those of the +-1 values.  Passed as
-    ``prepared=`` to the conv it was built for, it leaves that call only the
-    run: slab, the data-dependent bound check and the block loop.
+    ``tap_wsum`` holds each tap's weight sums, from which a step sums each
+    border rectangle's in-image weights.
     """
 
     params: FixedConvParams
     fold: BnFold | None
-    stride: int
-    col_region: ColRegion | None
     bits: bool
-    in_shape: tuple[int, int, int]
-    geometry: _Geometry
     w_t: np.ndarray  # float64 [ky * kx * in][out]
-    rows: int  # output rows per block
-    blocks: tuple  # (r0, r1, parts) per block; parts are wsum's rectangles
-    wsum: np.ndarray | None  # float64 [rect][out], bits input only
+    tap_wsum: np.ndarray | None  # int64 [tap][out], bits input only
     acc_per_input: int  # taps * max |w|: the bound is this * max |input| + max |bias|
     max_bias: int
     range_limits: tuple[np.ndarray, np.ndarray]  # sums below the first or from the second overflow
     offset: np.ndarray | None  # float64 bias + rounding half, conv2d_fixed
     limits: np.ndarray | None  # _acc_limits of the folded threshold, conv2d_fixed_sign
 
-    def check(self, p: FixedConvParams, fold: BnFold | None, stride: int,
-              col_region: ColRegion | None) -> None:
-        """Refuse a call whose arguments are not the ones this step was built for."""
-        if self.params is not p or self.fold is not fold or \
-                (self.stride, self.col_region) != (stride, col_region):
-            raise ValueError("prepared step was built for other conv arguments")
 
-    @property
-    def words_per_position(self) -> int:
-        """64-bit words the block loop fills per output position: float64 taps."""
-        return self.w_t.shape[0]
-
-    @property
-    def buffer_bytes(self) -> int:
-        """Bytes of the block buffers one run allocates."""
-        return self.rows * self.geometry.out_w * _fixed_position_bytes(
-            self.w_t.shape[0], self.params, self.fold, self.bits)
-
-
-def _fixed_position_bytes(taps: int, p: FixedConvParams, fold: BnFold | None,
-                          bits: bool) -> int:
-    # float64 im2col and sums, the threshold's bools padded to whole words,
-    # one tap's unpacked bits
-    return 8 * (taps + p.out_channels) + \
-        (32 * words_per_pixel(p.out_channels) if fold is not None else 0) + \
-        (p.in_channels if bits else 0)
-
-
-def prepare_fixed_conv(shape: tuple[int, int, int], qformat: int, p: FixedConvParams,
-                       stride: int = 1, col_region: ColRegion | None = None,
-                       fold: BnFold | None = None, *, bits: bool = False) -> FixedConvStep:
-    """Check a fixed conv over inputs of shape [h][w][c] at qformat, or over
-    +-1 bits at qformat 0 when bits is set, and build its tables: for
-    conv2d_fixed, or for conv2d_fixed_sign when fold is set."""
-    if shape[2] != p.in_channels:
-        raise ValueError(f"input has {shape[2]} channels, weights expect {p.in_channels}")
-    if stride not in (1, 2):
-        raise ValueError(f"stride must be 1 or 2, got {stride}")
-    if p.bias_qformat != qformat + p.weights_qformat:
-        raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
+def fixed_conv_table(p: FixedConvParams, fold: BnFold | None = None, *,
+                     bits: bool = False) -> FixedConvTable:
+    """Check a fixed conv layer, over +-1 bits when bits is set, and build its
+    table: for conv2d_fixed, or for conv2d_fixed_sign when fold is set."""
     if fold is not None and fold.channels != p.out_channels:
         raise ValueError(f"layer has {p.out_channels} channels, fold has {fold.channels}")
-    ky, kx = p.kernel
-    g = _conv_geometry(shape, ky, kx, stride, col_region)
     w_t = p.weights.reshape(p.out_channels, -1).T.astype(np.float64)
     lo, hi = signed_range(p.output_bitwidth)
     below, above = _acc_limits(p, lo), _acc_limits(p, hi + 1)
-    offset = limits = None
+    offset = limits = tap_wsum = None
     if fold is None:
         offset = p.bias.astype(np.float64) + (1 << p.output_shift >> 1)
     else:
@@ -469,17 +431,76 @@ def prepare_fixed_conv(shape: tuple[int, int, int], qformat: int, p: FixedConvPa
         w_t[:, flip] *= -1
         limits[flip] = 1 - limits[flip]
         below, above = np.where(flip, 1 - above, below), np.where(flip, 1 - below, above)
-    rects, wsum = [], None
     if bits:
         w_t *= 2
+        tap_wsum = p.weights.sum(axis=3, dtype=np.int64).reshape(p.out_channels, -1).T
+    return FixedConvTable(p, fold, bits, w_t, tap_wsum, w_t.shape[0] * _max_abs(p.weights),
+                          _max_abs(p.bias), (below, above), offset, limits)
+
+
+class FixedConvStep(NamedTuple):
+    """A fixed conv prepared on its layer's table for one input shape and
+    column region: the geometry, the block row ranges and, over bits, each
+    border rectangle's in-image weight sum ``wsum``, which the loop
+    subtracts to make the sums those of the +-1 values.  Passed as
+    ``prepared=`` to the conv it was built for, it leaves that call only the
+    run: slab, the data-dependent bound check and the block loop."""
+
+    table: FixedConvTable
+    stride: int
+    col_region: ColRegion | None
+    in_shape: tuple[int, int, int]
+    geometry: _Geometry
+    rows: int  # output rows per block
+    blocks: tuple  # (r0, r1, parts) per block; parts are wsum's rectangles
+    wsum: np.ndarray | None  # float64 [rect][out], bits input only
+
+    def check(self, p: FixedConvParams, fold: BnFold | None, stride: int,
+              col_region: ColRegion | None) -> None:
+        """Refuse a call whose arguments are not the ones this step was built for."""
+        if self.table.params is not p or self.table.fold is not fold or \
+                (self.stride, self.col_region) != (stride, col_region):
+            raise ValueError("prepared step was built for other conv arguments")
+
+    @property
+    def words_per_position(self) -> int:
+        """64-bit words the block loop fills per output position: float64 taps."""
+        return self.table.w_t.shape[0]
+
+    @property
+    def buffer_bytes(self) -> int:
+        """Bytes of the block buffers one run allocates."""
+        return self.rows * self.geometry.out_w * _fixed_position_bytes(self.table)
+
+
+def _fixed_position_bytes(t: FixedConvTable) -> int:
+    # float64 im2col and sums, the threshold's bools padded to whole words,
+    # one tap's unpacked bits
+    return 8 * (t.w_t.shape[0] + t.params.out_channels) + \
+        (32 * words_per_pixel(t.params.out_channels) if t.fold is not None else 0) + \
+        (t.params.in_channels if t.bits else 0)
+
+
+def prepare_fixed_conv(shape: tuple[int, int, int], qformat: int, table: FixedConvTable,
+                       stride: int = 1, col_region: ColRegion | None = None) -> FixedConvStep:
+    """Check a fixed conv over inputs of shape [h][w][c] at qformat (0 over
+    bits) and build the tables of its column region on the layer's table."""
+    p = table.params
+    if shape[2] != p.in_channels:
+        raise ValueError(f"input has {shape[2]} channels, weights expect {p.in_channels}")
+    if stride not in (1, 2):
+        raise ValueError(f"stride must be 1 or 2, got {stride}")
+    if p.bias_qformat != qformat + p.weights_qformat:
+        raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
+    ky, kx = p.kernel
+    g = _conv_geometry(shape, ky, kx, stride, col_region)
+    rects, wsum = [], None
+    if table.bits:
         rects, taps = _border_rects(g, shape[0], ky, kx, stride)
-        per_tap = p.weights.sum(axis=3, dtype=np.int64).reshape(p.out_channels, -1)
-        wsum = (taps.astype(np.int64) @ per_tap.T).astype(np.float64)
-    rows = _block_rows(g.out_h, g.out_w * _fixed_position_bytes(w_t.shape[0], p, fold, bits))
-    return FixedConvStep(
-        p, fold, stride, col_region, bits, tuple(shape), g, w_t, rows,
-        tuple(_row_blocks(g.out_h, rows, rects)), wsum,
-        w_t.shape[0] * _max_abs(p.weights), _max_abs(p.bias), (below, above), offset, limits)
+        wsum = (taps.astype(np.int64) @ table.tap_wsum).astype(np.float64)
+    rows = _block_rows(g.out_h, g.out_w * _fixed_position_bytes(table))
+    return FixedConvStep(table, stride, col_region, tuple(shape), g, rows,
+                         tuple(_row_blocks(g.out_h, rows, rects)), wsum)
 
 
 def _fixed_conv_blocks(x: FixedTensor | BinaryTensor, s: FixedConvStep):
@@ -499,10 +520,10 @@ def _fixed_conv_blocks(x: FixedTensor | BinaryTensor, s: FixedConvStep):
     values are judged instead.
     """
     _check_input(x, s)
-    p, g, stride = s.params, s.geometry, s.stride
-    if isinstance(x, BinaryTensor) != s.bits:
+    t, g, stride, p = s.table, s.geometry, s.stride, s.table.params
+    if isinstance(x, BinaryTensor) != t.bits:
         raise ValueError("the step was prepared for another input kind")
-    if s.bits:
+    if t.bits:
         # little-endian bytes: channel 8*j+b is bit b of byte j
         slab = _column_slab(x.words.astype("<u4", copy=False), g)
         max_in = 1
@@ -511,18 +532,18 @@ def _fixed_conv_blocks(x: FixedTensor | BinaryTensor, s: FixedConvStep):
             raise ValueError("bias must be stored at accumulator scale (input q + weight q)")
         slab = _column_slab(x.values, g)
         max_in = max(int(slab.max(initial=0)), -int(slab.min(initial=0)))
-    bound = s.acc_per_input * max_in + s.max_bias
+    bound = t.acc_per_input * max_in + t.max_bias
     # over bits, the partial sums of 0/1 times 2*w reach twice the bound
-    if bound * (2 if s.bits else 1) >= 1 << 52:
+    if bound * (2 if t.bits else 1) >= 1 << 52:
         raise ValueError("accumulator bound exceeds exact float64 range")
     judge = rounding_shift(bound, p.output_shift) > signed_range(p.output_bitwidth)[1]
 
     ky, kx = p.kernel
     c, oc = p.in_channels, p.out_channels
-    ow, taps = g.out_w, s.w_t.shape[0]
+    ow, taps = g.out_w, t.w_t.shape[0]
     patches_buf = np.empty(s.rows * ow * taps)
     sums_buf = np.empty(s.rows * ow * oc)
-    below, above = s.range_limits
+    below, above = t.range_limits
     for r0, r1, parts in s.blocks:
         n = r1 - r0
         m = n * ow
@@ -531,15 +552,15 @@ def _fixed_conv_blocks(x: FixedTensor | BinaryTensor, s: FixedConvStep):
             for dx in range(kx):
                 window = slab[dy + r0 * stride:dy + (r1 - 1) * stride + 1:stride,
                               dx:dx + (ow - 1) * stride + 1:stride]
-                if s.bits:  # unpacked along the channel axis: [in][y][x] 0/1
+                if t.bits:  # unpacked along the channel axis: [in][y][x] 0/1
                     chans = np.unpackbits(window.view(np.uint8).transpose(2, 0, 1), axis=0,
                                           count=c, bitorder="little")
                 else:
                     chans = window.transpose(2, 0, 1)
-                t = (dy * kx + dx) * c
-                np.copyto(patches[t:t + c].reshape(c, n, ow), chans)
+                tap = (dy * kx + dx) * c
+                np.copyto(patches[tap:tap + c].reshape(c, n, ow), chans)
         acc = sums_buf[:m * oc].reshape(m, oc)
-        np.matmul(patches.T, s.w_t, out=acc)
+        np.matmul(patches.T, t.w_t, out=acc)
         for i, ys, xs in parts:
             acc.reshape(n, ow, oc)[ys, xs] -= s.wsum[i]
         if judge and ((acc < below).any() or (acc >= above).any()):
@@ -563,8 +584,8 @@ def conv2d_fixed(x: FixedTensor | BinaryTensor, p: FixedConvParams, stride: int 
     """
     qformat = 0 if isinstance(x, BinaryTensor) else x.qformat
     if prepared is None:
-        prepared = prepare_fixed_conv(x.shape, qformat, p, stride, col_region,
-                                      bits=isinstance(x, BinaryTensor))
+        table = fixed_conv_table(p, bits=isinstance(x, BinaryTensor))
+        prepared = prepare_fixed_conv(x.shape, qformat, table, stride, col_region)
     else:
         prepared.check(p, None, stride, col_region)
     blocks = _fixed_conv_blocks(x, prepared)
@@ -577,7 +598,7 @@ def conv2d_fixed(x: FixedTensor | BinaryTensor, p: FixedConvParams, stride: int 
     out = np.empty((out_h * ow, p.out_channels), dtype=storage_dtype(p.output_bitwidth))
     with single_thread():
         for r0, r1, acc in blocks:
-            acc += prepared.offset
+            acc += prepared.table.offset
             if shift:
                 acc *= 2.0 ** -shift
                 np.floor(acc, out=acc)
@@ -602,7 +623,8 @@ def conv2d_fixed_sign(x: FixedTensor, p: FixedConvParams, fold: BnFold, stride: 
     for conv2d_fixed, built with this fold.
     """
     if prepared is None:
-        prepared = prepare_fixed_conv(x.shape, x.qformat, p, stride, col_region, fold)
+        table = fixed_conv_table(p, fold)
+        prepared = prepare_fixed_conv(x.shape, x.qformat, table, stride, col_region)
     else:
         prepared.check(p, fold, stride, col_region)
     blocks = _fixed_conv_blocks(x, prepared)
@@ -612,7 +634,7 @@ def conv2d_fixed_sign(x: FixedTensor, p: FixedConvParams, fold: BnFold, stride: 
     with single_thread():
         for r0, r1, acc in blocks:
             m = (r1 - r0) * ow
-            np.greater_equal(acc, prepared.limits, out=on[:m, :oc])
+            np.greater_equal(acc, prepared.table.limits, out=on[:m, :oc])
             write_bits(words[r0:r1], on[:m])
     return BinaryTensor(out_h, ow, oc, words)
 
@@ -697,92 +719,36 @@ def _xor_bufsize(m: int) -> int:
     return min(-(-2 * m // 16) * 16, 1 << 20)
 
 
-class BinaryConvStep(NamedTuple):
-    """A binary conv prepared for one layer, input shape, column region and
-    popcount backend.
-
-    Holds what the parameter checks found and every table that does not
-    depend on the input's bits: the geometry, the filter's 64-bit words and
-    the input words each pairs, the block row ranges with their ufunc buffer
-    sizes and border rectangles, and the epilogue's per-rectangle constants
-    (offsets for conv2d_binary; bounds in the sums' dtype and flip for
-    conv2d_binary_threshold, whose fold is set).  Passed as ``prepared=`` to
-    the conv2d_binary_threshold call it was built for, it leaves that call
-    only the run: slab and block loop.
-    """
+class BinaryConvTable(NamedTuple):
+    """A binary conv layer's tables, shared by all of its steps and built
+    once from its weights, fold and popcount backend.  The filter's 32-bit
+    words, in tap and word order, pair into 64-bit words ``wt``: within a
+    pixel when it holds an even number of words, else across consecutive
+    taps, with one word zero in both filter and window to make up an odd
+    total; ``pairs`` names the input words each holds.  Taps outside the
+    image read the slab's zero words, so each adds popcount(filter tap),
+    ``tap_pc``, to the block sums rather than nothing.  ``flip`` is the
+    fold's (BnFold.folded), for conv2d_binary_threshold."""
 
     weights: PackedBinaryWeights
     fold: BnFold | None
-    stride: int
-    col_region: ColRegion | None
     popcount: str
-    in_shape: tuple[int, int, int]
-    geometry: _Geometry
     popcount_fn: object
     wt: np.ndarray  # uint64 filter words [word][out]
     pairs: tuple  # per 64-bit word, the (tap, word) of each input word it holds
     pc_dtype: type
-    rows: int  # output rows per block
-    blocks: tuple  # (r0, r1, xor bufsize, parts) per block; see _binary_conv_blocks
-    offsets: np.ndarray | None  # int32 C*v + 2*corr [rect][out], conv2d_binary
-    bounds: np.ndarray | None  # pc_dtype [rect][out][1][1], conv2d_binary_threshold
+    tap_pc: np.ndarray  # pc_dtype popcount(filter tap) [tap][out]
     flip: np.ndarray | None
 
-    def check(self, w: PackedBinaryWeights, fold: BnFold, stride: int,
-              col_region: ColRegion | None, popcount: str | None) -> None:
-        """Refuse a call whose arguments are not the ones this step was built for."""
-        if self.weights is not w or self.fold is not fold or \
-                (self.stride, self.col_region, self.popcount) != \
-                (stride, col_region, resolve_popcount_name(popcount)):
-            raise ValueError("prepared step was built for other conv arguments")
 
-    @property
-    def words_per_position(self) -> int:
-        """64-bit words xored and popcounted per output position."""
-        return len(self.pairs)
-
-    @property
-    def buffer_bytes(self) -> int:
-        """Bytes of the block buffers one run allocates."""
-        oc = self.weights.out_channels
-        m = self.rows * self.geometry.out_w
-        return m * (8 + oc * (8 + np.dtype(self.pc_dtype).itemsize)
-                    + max(oc, 32 * words_per_pixel(oc)))
-
-
-def prepare_binary_conv(shape: tuple[int, int, int], w: PackedBinaryWeights,
-                        stride: int = 1, col_region: ColRegion | None = None,
-                        popcount: str | None = None,
-                        fold: BnFold | None = None) -> BinaryConvStep:
-    """Check a binary conv over inputs of shape [h][w][channels] and build
-    its tables: for conv2d_binary, or for conv2d_binary_threshold when fold
-    is set.
-
-    The filter's 32-bit words, in tap and word order, pair into 64-bit words:
-    within a pixel when it holds an even number of words, else across
-    consecutive taps, with one word zero in both filter and window to make
-    up an odd total.  Taps outside the image read the slab's zero words, so
-    each adds popcount(filter tap) to the block sums rather than nothing.
-    The output splits into rectangles of equal sets of in-image taps
-    (_border_rects); rectangle r has v[r] in-image taps, and corr[r] [out]
-    is the int64 popcount(filter tap) sum over its out-of-image taps, so
-    that the in-image sum is pc - corr[r].  Those fold into each
-    rectangle's offsets or bounds here.
-    """
-    h, _, channels = shape
-    if channels != w.in_channels:
-        raise ValueError(f"input has {channels} channels, weights expect {w.in_channels}")
-    if stride not in (1, 2):
-        raise ValueError(f"stride must be 1 or 2, got {stride}")
+def binary_conv_table(w: PackedBinaryWeights, fold: BnFold | None = None,
+                      popcount: str | None = None) -> BinaryConvTable:
+    """Check a binary conv layer and build its table: for conv2d_binary, or
+    for conv2d_binary_threshold when fold is set."""
     if fold is not None and fold.channels != w.out_channels:
         raise ValueError(f"layer has {w.out_channels} channels, fold has {fold.channels}")
     popcount_fn = get_popcount(popcount)
-
-    ky, kx, oc = w.ky, w.kx, w.out_channels
-    g = _conv_geometry(shape, ky, kx, stride, col_region)
-    out_h, ow = g.out_h, g.out_w
-
-    wpp = words_per_pixel(channels)
+    ky, kx, oc, wpp = w.ky, w.kx, w.out_channels, words_per_pixel(w.in_channels)
     if wpp % 2 == 0:  # the loop reads the slab as 64-bit words
         pairs = [((t, j),) for t in range(ky * kx) for j in range(wpp // 2)]
     else:
@@ -793,28 +759,88 @@ def prepare_binary_conv(shape: tuple[int, int, int], w: PackedBinaryWeights,
     wt = np.ascontiguousarray(flat.view(np.uint64).T)  # [word][out]
     # The sum is at most ky*kx*channels; uint16 while that stays below the
     # dtype's maximum, so a threshold bound of sum + 1 still fits.
-    pc_dtype = np.uint16 if ky * kx * channels < (1 << 16) - 1 else np.uint32
+    pc_dtype = np.uint16 if ky * kx * w.in_channels < (1 << 16) - 1 else np.uint32
+    tap_pc = popcount_fn(w.words).sum(axis=3, dtype=pc_dtype).reshape(oc, -1).T
+    flip = None if fold is None else fold.folded()[1]
+    return BinaryConvTable(w, fold, resolve_popcount_name(popcount), popcount_fn, wt,
+                           tuple(pairs), pc_dtype, tap_pc, flip)
 
+
+class BinaryConvStep(NamedTuple):
+    """A binary conv prepared on its layer's table for one input shape and
+    column region: the geometry, the block row ranges with their ufunc
+    buffer sizes and border rectangles, and the epilogue's per-rectangle
+    constants (offsets for conv2d_binary; bounds in the sums' dtype for
+    conv2d_binary_threshold, whose fold is set).  Passed as ``prepared=``
+    to the conv2d_binary_threshold call it was built for, it leaves that
+    call only the run: slab and block loop."""
+
+    table: BinaryConvTable
+    stride: int
+    col_region: ColRegion | None
+    in_shape: tuple[int, int, int]
+    geometry: _Geometry
+    rows: int  # output rows per block
+    blocks: tuple  # (r0, r1, xor bufsize, parts) per block; see _binary_conv_blocks
+    offsets: np.ndarray | None  # int32 C*v + 2*corr [rect][out], conv2d_binary
+    bounds: np.ndarray | None  # pc_dtype [rect][out][1][1], conv2d_binary_threshold
+
+    def check(self, w: PackedBinaryWeights, fold: BnFold, stride: int,
+              col_region: ColRegion | None, popcount: str | None) -> None:
+        """Refuse a call whose arguments are not the ones this step was built for."""
+        if self.table.weights is not w or self.table.fold is not fold or \
+                (self.stride, self.col_region, self.table.popcount) != \
+                (stride, col_region, resolve_popcount_name(popcount)):
+            raise ValueError("prepared step was built for other conv arguments")
+
+    @property
+    def words_per_position(self) -> int:
+        """64-bit words xored and popcounted per output position."""
+        return len(self.table.pairs)
+
+    @property
+    def buffer_bytes(self) -> int:
+        """Bytes of the block buffers one run allocates."""
+        oc = self.table.weights.out_channels
+        m = self.rows * self.geometry.out_w
+        return m * (8 + oc * (8 + np.dtype(self.table.pc_dtype).itemsize)
+                    + max(oc, 32 * words_per_pixel(oc)))
+
+
+def prepare_binary_conv(shape: tuple[int, int, int], table: BinaryConvTable,
+                        stride: int = 1, col_region: ColRegion | None = None) -> BinaryConvStep:
+    """Check a binary conv over inputs of shape [h][w][channels] and build
+    the tables of its column region on the layer's table.  The output splits
+    into rectangles of equal sets of in-image taps (_border_rects);
+    rectangle r has v[r] in-image taps, and corr[r] [out] is the int64
+    popcount(filter tap) sum over its out-of-image taps, so that the
+    in-image sum is pc - corr[r].  Those fold into each rectangle's offsets
+    or bounds here."""
+    (h, _, channels), w = shape, table.weights
+    if channels != w.in_channels:
+        raise ValueError(f"input has {channels} channels, weights expect {w.in_channels}")
+    if stride not in (1, 2):
+        raise ValueError(f"stride must be 1 or 2, got {stride}")
+    ky, kx, oc = w.ky, w.kx, w.out_channels
+    g = _conv_geometry(shape, ky, kx, stride, col_region)
     rects, taps = _border_rects(g, h, ky, kx, stride)
     v = taps.sum(axis=1)
-    tap_pc = popcount_fn(w.words).sum(axis=3, dtype=np.int64).reshape(oc, -1).T  # [tap][out]
-    corr = tap_pc.sum(axis=0) - taps.astype(np.int64) @ tap_pc
+    corr = (~taps).astype(np.int64) @ table.tap_pc
 
-    rows = _block_rows(out_h, ow * oc * 8)
-    blocks = tuple((r0, r1, _xor_bufsize((r1 - r0) * ow), parts)
-                   for r0, r1, parts in _row_blocks(out_h, rows, rects))
+    rows = _block_rows(g.out_h, g.out_w * oc * 8)
+    blocks = tuple((r0, r1, _xor_bufsize((r1 - r0) * g.out_w), parts)
+                   for r0, r1, parts in _row_blocks(g.out_h, rows, rects))
 
     cv = channels * v[:, None]
-    offsets = bounds = flip = None
-    if fold is None:
+    offsets = bounds = None
+    if table.fold is None:
         offsets = (cv + 2 * corr).astype(np.int32)
     else:
-        folded, flip = fold.folded()
+        folded, _ = table.fold.folded()
         bounds = np.clip((cv - folded) // 2 + 1, 0, cv + 1) + corr
-        bounds = bounds.astype(pc_dtype)[:, :, None, None]  # [rect][out][1][1]
-    return BinaryConvStep(w, fold, stride, col_region, resolve_popcount_name(popcount),
-                          tuple(shape), g, popcount_fn, wt, tuple(pairs), pc_dtype, rows,
-                          blocks, offsets, bounds, flip)
+        bounds = bounds.astype(table.pc_dtype)[:, :, None, None]  # [rect][out][1][1]
+    return BinaryConvStep(table, stride, col_region, tuple(shape), g, rows, blocks,
+                          offsets, bounds)
 
 
 def _binary_conv_blocks(x: BinaryTensor, s: BinaryConvStep):
@@ -843,10 +869,10 @@ def _binary_conv_blocks(x: BinaryTensor, s: BinaryConvStep):
     slab = _column_slab(x.words, s.geometry)
     if slab.shape[-1] % 2 == 0:  # pairs within a pixel: read them as 64-bit words
         slab = slab.view(np.uint64)
-    ow, stride, rows, popcount_fn = s.geometry.out_w, s.stride, s.rows, s.popcount_fn
-    ky, kx, oc = s.weights.ky, s.weights.kx, s.wt.shape[1]
+    t, ow, stride, rows = s.table, s.geometry.out_w, s.stride, s.rows
+    ky, kx, oc, popcount_fn = t.weights.ky, t.weights.kx, t.wt.shape[1], t.popcount_fn
     size = rows * ow * oc
-    pc_buf = np.empty(size, dtype=s.pc_dtype)
+    pc_buf = np.empty(size, dtype=t.pc_dtype)
     xor_buf = np.empty(size, dtype=np.uint64)
     count_buf = np.empty(rows * ow * max(oc, 32 * words_per_pixel(oc)), dtype=np.uint8)
     win_buf = np.empty(rows * ow, dtype=np.uint64)
@@ -867,12 +893,12 @@ def _binary_conv_blocks(x: BinaryTensor, s: BinaryConvStep):
         pc.fill(0)
         old = np.setbufsize(bufsize)
         try:
-            for p, pair in enumerate(s.pairs):
-                for half, (t, wi) in zip(halves, pair):
-                    np.copyto(half, windows[t][:, :, wi])
+            for p, pair in enumerate(t.pairs):
+                for half, (tap, wi) in zip(halves, pair):
+                    np.copyto(half, windows[tap][:, :, wi])
                 if len(pair) < len(halves):
                     halves[1].fill(0)  # the zero word that makes up an odd total
-                np.bitwise_xor(s.wt[p, :, None], win, out=xor)
+                np.bitwise_xor(t.wt[p, :, None], win, out=xor)
                 pc += popcount_fn(xor, out=count)
         finally:
             np.setbufsize(old)
@@ -892,7 +918,8 @@ def conv2d_binary(x: BinaryTensor, w: PackedBinaryWeights, stride: int = 1,
     taps and corr the popcount their zero words added, the result is
     C*v - 2*(pc - corr), one constant per channel and border rectangle.
     """
-    prepared = prepare_binary_conv(x.shape, w, stride, col_region, popcount)
+    table = binary_conv_table(w, None, popcount)
+    prepared = prepare_binary_conv(x.shape, table, stride, col_region)
     g = prepared.geometry
     acc = np.empty((g.out_h, g.out_w, w.out_channels), dtype=np.int32)
     for r0, r1, pc, parts, _ in _binary_conv_blocks(x, prepared):
@@ -922,10 +949,11 @@ def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFol
     padded with zero channels to whole words, for one flat pack.  No int32
     accumulator and no bool block is allocated.
     ``prepared`` is this call's prepare_binary_conv step, reused from an
-    earlier call; None builds it.
+    earlier call; None builds it and its table.
     """
     if prepared is None:
-        prepared = prepare_binary_conv(x.shape, w, stride, col_region, popcount, fold)
+        prepared = prepare_binary_conv(x.shape, binary_conv_table(w, fold, popcount), stride,
+                                       col_region)
     else:
         prepared.check(w, fold, stride, col_region, popcount)
     g, oc = prepared.geometry, w.out_channels
@@ -936,7 +964,7 @@ def conv2d_binary_threshold(x: BinaryTensor, w: PackedBinaryWeights, fold: BnFol
             np.less(pc[:, ys, xs], prepared.bounds[i], out=bits[:, ys, xs])
         flipped = spare_b[:(r1 - r0) * g.out_w * words.shape[-1] * 32].view(bool)
         flipped = flipped.reshape(r1 - r0, g.out_w, -1)
-        np.bitwise_xor(bits.transpose(1, 2, 0), prepared.flip, out=flipped[:, :, :oc])
+        np.bitwise_xor(bits.transpose(1, 2, 0), prepared.table.flip, out=flipped[:, :, :oc])
         flipped[:, :, oc:] = False  # padding channels
         write_bits(words[r0:r1], flipped)
     return BinaryTensor(g.out_h, g.out_w, oc, words)

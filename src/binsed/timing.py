@@ -21,12 +21,13 @@ from .executor import (
     check_input,
     count_macs,
     is_reference_topology,
+    layer_table,
     prepare_layer,
     run_layer,
     run_monolithic,
 )
 from .frontend import FrontendConfig, mel_spectrogram
-from .kernels import conv2d_binary_threshold, prepare_binary_conv, resolve_popcount_name
+from .kernels import resolve_popcount_name
 from .tensors import unpack, unpack_weights
 
 
@@ -141,15 +142,12 @@ def bench(net: NetworkSpec, frontend_cfg=None, repetitions: int = 3,
         times = {}
         for backend in ("native", "portable"):
             try:
-                step = prepare_binary_conv(xin.shape, layer.weights, layer.stride, None,
-                                           backend, layer.fold)
+                step = prepare_layer(layer, xin, None, layer_table(layer, backend))
             except ValueError:  # no native instruction in this numpy
                 times[backend] = None
                 continue
             times[backend] = _median_time(
-                lambda b=backend, step=step: conv2d_binary_threshold(
-                    xin, layer.weights, layer.fold, layer.stride, popcount=b,
-                    prepared=step), repetitions)
+                lambda step=step: run_layer(layer, xin, None, step), repetitions)
         comparisons["popcount_native_vs_portable"] = {
             "layer": names[biggest],
             "native_s": times["native"],

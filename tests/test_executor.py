@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import logging
@@ -84,7 +85,7 @@ def test_monolithic_deterministic(reference_model, monkeypatch):
     a = run_monolithic(x, reference_model.network)
     b = run_monolithic(x, reference_model.network)
     c = run_monolithic(x, reference_model.network, threads=8)
-    # a numpy without np.bitwise_count runs the lookup-table popcount
+    # a numpy without np.bitwise_count runs the portable popcount
     monkeypatch.setattr(kernels, "_HAS_NATIVE", False)
     d = run_monolithic(x, reference_model.network)
     assert (a.scores == b.scores).all()
@@ -625,11 +626,15 @@ def test_workers_capped_at_affinity(reference_model, monkeypatch, caplog):
     assert (res.scores == run_tiled(x, net, plan_tiles(net, 2)).scores).all()
 
 
+PREPARES = ("prepare_fixed_conv", "prepare_binary_conv", "fixed_conv_table", "binary_conv_table")
+
+
 def _count_prepares(monkeypatch, path):
-    """Record each prepare function call, in the caller or a worker, to path."""
+    """Record each step prepare and table build, in the caller or a worker,
+    to path."""
     record = _recorder(path)
     for module in (executor, kernels):
-        for name in ("prepare_fixed_conv", "prepare_binary_conv"):
+        for name in PREPARES:
             def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 record(_name)
                 return _fn(*args, **kwargs)
@@ -651,6 +656,133 @@ def test_repeat_runs_prepare_nothing(reference_model, monkeypatch, tmp_path, fre
     again = [run().scores for run in runs]
     assert _records(tmp_path / "calls") == []
     assert all((a == b).all() for a, b in zip(first, again))
+
+
+def test_worker_forked_after_a_run_prepares_nothing(reference_model, monkeypatch, tmp_path,
+                                                    fresh_workers):
+    # A worker forked at the process's second threaded run starts with the
+    # caller's tables and the steps of the plan the first run prepared.
+    monkeypatch.setattr(executor, "_threaded_runs", itertools.count())
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    net = dataclasses.replace(reference_model.network)
+    x = random_mel_input(np.random.default_rng(32))
+    plan = plan_tiles(net, 4)
+    calls = tmp_path / "calls"
+    _count_prepares(monkeypatch, calls)
+    want = run_tiled(x, net, plan, 2).scores  # every tile in the caller
+    assert executor._crews == {}
+    assert Counter(name for _, name in _records(calls)) == {
+        "fixed_conv_table": 2, "binary_conv_table": 5,
+        "prepare_fixed_conv": 4 * 2, "prepare_binary_conv": 4 * 5}
+    calls.unlink()
+    assert (run_tiled(x, net, plan, 2).scores == want).all()  # forks the worker
+    assert len(_worker_pids(2)) == 1
+    assert _records(calls) == []
+
+
+def test_every_step_holds_its_layers_table(reference_model, monkeypatch, tmp_path,
+                                           fresh_workers):
+    # One table per layer: every kept step of every tile and plan holds it,
+    # in the caller and in the worker, which runs the very tables it was
+    # forked with (an object forked in keeps its id).
+    record = _recorder(tmp_path / "tiles")
+    run_tile = executor._run_tile
+
+    def spy(x, tile, tables):
+        out = run_tile(x, tile, tables)
+        record([id(t) for t in tables], all(e[2].table is t for e, t in zip(tile, tables)))
+        return out
+
+    monkeypatch.setattr(executor, "_run_tile", spy)
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    net = dataclasses.replace(reference_model.network)
+    x = random_mel_input(np.random.default_rng(34))
+    for _ in range(2):
+        for tiles in (1, 2, 4, 6):
+            run_tiled(x, net, plan_tiles(net, tiles), 2)
+    cache = executor._prepared(net)
+    steps = [(l, entry[2]) for tiles in cache.tiles.values() for tile in tiles
+             for l, entry in enumerate(tile) if entry[2] is not None]
+    assert len(steps) == 7 * (1 + 1 + 2 + 3)  # the caller's tiles t = 0 (mod 2)
+    assert all(step.table is cache.tables[l] for l, step in steps)
+    seen = _records(tmp_path / "tiles")
+    assert {pid for pid, _, _ in seen} == {os.getpid(), *_worker_pids(2)}
+    assert all(ids == [id(t) for t in cache.tables] and same for _, ids, same in seen)
+
+
+def _step_bytes(obj, roots: dict) -> None:
+    """Collect the buffers of the ndarrays reachable from obj through tuples
+    and lists: a step, its table and their arrays.  The parameter objects a
+    table holds are the model's, and are not followed."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        roots[id(obj)] = obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _step_bytes(item, roots)
+
+
+def test_plan_steps_hold_one_filter_table_per_layer(reference_model):
+    # The layer tables are the network's, built once; a plan's steps add
+    # only what its tiles' regions need.
+    net = dataclasses.replace(reference_model.network)
+    x = random_mel_input(np.random.default_rng(35))
+    sizes = []
+    for tiles in range(1, 7):
+        plan = plan_tiles(net, tiles)
+        run_tiled(x, net, plan)
+        roots = {}
+        _step_bytes([entry[2] for tile in executor._prepared(net).tiles[plan]
+                     for entry in tile], roots)
+        sizes.append(sum(a.nbytes for a in roots.values()))
+    assert sizes[0] <= 100_000, sizes
+    assert all(b - a < 10_000 for a, b in zip(sizes, sizes[1:])), sizes
+    assert sizes[5] <= 150_000, sizes
+
+
+def test_network_retains_little_after_eight_plans(reference_model):
+    x = random_mel_input(np.random.default_rng(36))
+    warm = dataclasses.replace(reference_model.network)
+    run_tiled(x, warm, plan_tiles(warm, 2))  # module state built on first use
+    net = dataclasses.replace(reference_model.network)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for tiles in range(1, 9):
+            run_tiled(x, net, plan_tiles(net, tiles))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(executor._prepared(net).tiles) == 8
+    assert retained < 1_000_000, f"retained {retained:,} B"
+
+
+def test_worker_drops_its_least_recent_network(reference_model, monkeypatch, fresh_workers):
+    # A worker holds at most PLANS_KEPT networks; a run of one it has
+    # dropped gets the None reply, sends the network again and runs it.
+    monkeypatch.setattr(executor, "_workers", lambda threads: threads)  # 2 even on 1 CPU
+    sent = []
+    write = executor._Worker._write
+
+    def spy(self, key, network, *request):
+        sent.append((key, network is not None))
+        return write(self, key, network, *request)
+
+    monkeypatch.setattr(executor._Worker, "_write", spy)
+    x = random_mel_input(np.random.default_rng(37))
+    plan = plan_tiles(reference_model.network, 2)
+    nets = [dataclasses.replace(reference_model.network) for _ in range(executor.PLANS_KEPT + 1)]
+    for net in nets:
+        run_tiled(x, net, plan, 2)
+    first = executor._prepared(nets[0]).key
+    assert sent[0] == (first, False)  # the worker was forked holding it
+    sent.clear()
+    got = run_tiled(x, nets[0], plan, 2).scores
+    assert sent == [(first, False), (first, True)]
+    assert (got == run_tiled(x, nets[0], plan, 1).scores).all()
 
 
 def test_workers_keep_steps_for_plans_kept(monkeypatch, tmp_path, fresh_workers):
